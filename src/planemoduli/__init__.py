@@ -10,7 +10,7 @@ The package computes, in exact rational arithmetic throughout:
     chow, ktheory);
   * Poincare polynomials of Hilbert schemes, Kronecker quiver moduli, and
     the degree-6 moduli space assembled by wall crossing (betti);
-  * the polynomial and rational-function arithmetic underneath (exactmath).
+  * the exact rational and polynomial arithmetic underneath (exactmath).
 """
 
 from .betti import (DimVector, assemble_m6, brute_force_kronecker_count,
@@ -25,7 +25,7 @@ from .divisors import (DivisorAL, FamilyClass, d_in_AL, effective_generators,
 from .errors import (AmbiguousChamberError, ConventionError, DomainError,
                      EmptyWallError, ExactDivisionError, NoWallError,
                      PlaneModuliError)
-from .exactmath import (QPoly, QRational, Rational, grassmannian_poincare,
+from .exactmath import (QPoly, Rational, grassmannian_poincare,
                         is_palindromic, projective_poincare)
 from .ktheory import (ChernP2, dual, euler_hom, euler_product,
                       hilbert_polynomial, ideal_twisted, line_bundle,

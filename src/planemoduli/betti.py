@@ -8,9 +8,10 @@ Three independent point-count engines feed the final assembly:
 
   * Hilbert schemes of plane points, by the infinite-product generating
     function truncated at the needed order;
-  * Kronecker quiver moduli, by the Harder-Narasimhan recursion over the
-    field of rational functions in q (the stack count of all
-    representations minus the strata of destabilizing filtrations);
+  * Kronecker quiver moduli, by the Harder-Narasimhan recursion (the
+    stack count of all representations minus the strata of destabilizing
+    filtrations) evaluated exactly at integer q, the polynomial's
+    coefficients read off as the base-B digits of its value at q = B;
   * a finite-field brute force that literally counts semistable tuples of
     matrices over F_p, used as an oracle for the recursion's conventions.
 
@@ -32,8 +33,7 @@ import numpy as np
 
 from . import ktheory
 from .errors import ConventionError, DomainError
-from .exactmath import (QPoly, QRational, grassmannian_poincare,
-                        projective_poincare, q_minus_one_power_factor)
+from .exactmath import QPoly, grassmannian_poincare, projective_poincare
 from .ktheory import ChernP2, euler_hom
 
 #: Poincare polynomials are plain QPoly values with nonnegative coefficients.
@@ -115,11 +115,11 @@ def _as_dimvector(dv: "DimVector | tuple[int, int]") -> DimVector:
     return dv
 
 
-def _ord_poly(n: int) -> QPoly:
+def _gl_order(n: int, q: int) -> int:
     """prod_{i<n} (q^n - q^i): the order of GL_n over the field with q elements."""
-    out = QPoly.one()
+    out = 1
     for i in range(n):
-        out = out * (QPoly.monomial(n) - QPoly.monomial(i))
+        out *= q ** n - q ** i
     return out
 
 
@@ -132,7 +132,8 @@ def _slope(part: tuple[int, int]) -> Fraction:
     return Fraction(part[0], part[0] + part[1])
 
 
-def _hn_decompositions(e: int, f: int) -> list[tuple[tuple[int, int], ...]]:
+@cache
+def _hn_decompositions(e: int, f: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Ordered decompositions into >= 2 nonzero parts of strictly decreasing slope."""
     out: list[tuple[tuple[int, int], ...]] = []
 
@@ -153,28 +154,29 @@ def _hn_decompositions(e: int, f: int) -> list[tuple[tuple[int, int], ...]]:
                 acc.pop()
 
     rec(e, f, None, [])
-    return out
+    return tuple(out)
 
 
 @cache
-def _hn_stack_count(m: int, e: int, f: int) -> QRational:
-    """Generating count of the semistable stack with dimension vector (e, f).
+def _hn_stack_count(m: int, e: int, f: int, q: int) -> Fraction:
+    """Count of the semistable stack with dimension vector (e, f), at q.
 
     All-representations count q^{m e f} / (ord(e) ord(f)) minus, for each
     Harder-Narasimhan type (strictly decreasing slopes), the product of the
     semistable counts of its parts times q to minus the sum of the quiver
-    Euler pairings of each later part against each earlier part.
+    Euler pairings of each later part against each earlier part.  The
+    recursion is evaluated exactly at the integer q.
     """
-    total = QRational(QPoly.monomial(m * e * f), _ord_poly(e) * _ord_poly(f))
+    total = Fraction(q ** (m * e * f), _gl_order(e, q) * _gl_order(f, q))
     for parts in _hn_decompositions(e, f):
         exponent = 0
         for k in range(len(parts)):
             for l in range(k + 1, len(parts)):
                 exponent -= _quiver_euler(m, parts[l], parts[k])
-        term = QRational.q_power(exponent)
+        term = Fraction(q) ** exponent
         for a, b in parts:
-            term = term * _hn_stack_count(m, a, b)
-        total = total - term
+            term *= _hn_stack_count(m, a, b, q)
+        total -= term
     return total
 
 
@@ -182,10 +184,13 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
     """Poincare polynomial of the m-arrow Kronecker quiver moduli space.
 
     Needs a coprime dimension vector, so that semistable = stable and the
-    moduli count is (q - 1) times the stack count.  The result must be a
-    polynomial with nonnegative integer coefficients of degree
-    m e f - e^2 - f^2 + 1; anything else signals a convention error and is
-    reported instead of repaired.
+    moduli count P(q) is (q - 1) times the stack count.  P has nonnegative
+    integer coefficients, so each is at most P(2); the recursion is
+    evaluated at q = 2 and at the base B = P(2) + 1, and the coefficients
+    are the base-B digits of P(B).  A non-integer value, P(2) < 1, a digit
+    count other than m e f - e^2 - f^2 + 1 plus one, a non-palindromic
+    digit list, or disagreement with the recursion at q = 3 signals a
+    convention error and is reported instead of repaired.
     """
     if m < 1:
         raise DomainError("the quiver needs at least one arrow")
@@ -193,17 +198,39 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
     if math.gcd(dv.e, dv.f) != 1:
         raise DomainError(f"dimension vector {tuple(dv)} is not coprime; "
                           "the moduli point count needs gcd(e, f) = 1")
-    value = q_minus_one_power_factor(1) * _hn_stack_count(m, dv.e, dv.f)
-    if not value.is_polynomial():
-        raise ConventionError(
-            f"(q-1) * stack count for {tuple(dv)} is not a polynomial; "
-            "the recursion's sign convention has drifted")
-    poly = value.as_qpoly()
-    expected_degree = m * dv.e * dv.f - dv.e ** 2 - dv.f ** 2 + 1
-    if any(c < 0 for c in poly.coefficients) or poly.degree != expected_degree:
-        raise ConventionError(
+
+    def moduli_count(q: int) -> int:
+        value = (q - 1) * _hn_stack_count(m, dv.e, dv.f, q)
+        if value.denominator != 1:
+            raise ConventionError(
+                f"(q-1) * stack count for {tuple(dv)} is not an integer at "
+                f"q = {q}; the recursion's sign convention has drifted")
+        return value.numerator
+
+    degree = m * dv.e * dv.f - dv.e ** 2 - dv.f ** 2 + 1
+
+    def shape_error(shown: object) -> ConventionError:
+        return ConventionError(
             f"moduli polynomial for {tuple(dv)} fails its shape checks: "
-            f"{poly} (expected degree {expected_degree})")
+            f"{shown} (expected degree {degree})")
+
+    at_two = moduli_count(2)
+    if at_two < 1:
+        # a zero value is the zero polynomial: the moduli space is empty
+        raise shape_error(at_two if at_two == 0 else f"{at_two} at q = 2")
+    base = at_two + 1
+    digits = []
+    rest = moduli_count(base)
+    while rest > 0 and len(digits) <= degree:
+        rest, digit = divmod(rest, base)
+        digits.append(digit)
+    if rest or len(digits) != degree + 1 or digits != digits[::-1]:
+        raise shape_error(f"base-{base} digits {digits}")
+    poly = QPoly(digits)
+    if poly(3) != moduli_count(3):
+        raise ConventionError(
+            f"moduli polynomial for {tuple(dv)} disagrees with the "
+            "recursion at q = 3")
     return poly
 
 

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactmath import Scalar
-
-
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .exactmath import Scalar, _frac
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,8 @@ from fractions import Fraction
 from . import chow, ktheory
 from .chow import ChowCurveP2
 from .errors import ConventionError, DomainError
-from .exactmath import Scalar
+from .exactmath import Scalar, _frac
 from .ktheory import ChernP2
-
-
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

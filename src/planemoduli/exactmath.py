@@ -1,6 +1,6 @@
 """Exact scalar and polynomial arithmetic in one variable q.
 
-Three layers, all immutable and exact:
+Two layers, both immutable and exact:
 
   Rational   -- arbitrary-precision rational numbers.  This is an alias for
                 fractions.Fraction, which already stores values reduced with
@@ -10,9 +10,6 @@ Three layers, all immutable and exact:
   QPoly      -- polynomials in q with integer coefficients, stored as a
                 tuple of coefficients in ascending powers with trailing
                 zeros trimmed.  The zero polynomial has degree None.
-  QRational  -- quotients of two QPoly values, stored with common factors
-                cancelled.  Equality compares by cross-multiplication, so
-                no canonical form is assumed by callers.
 
 Division of polynomials is only ever exact division: exact_div raises
 ExactDivisionError when a remainder (or a fractional quotient coefficient)
@@ -40,6 +37,11 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational number: {text!r}") from exc
+
+
+def _frac(x: Scalar) -> Fraction:
+    """x as a Fraction, without rebuilding one that already is."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def format_rational(value: Scalar) -> str:
@@ -250,196 +252,6 @@ def _as_qpoly(value: "QPoly | int") -> QPoly:
     raise TypeError(f"cannot interpret {value!r} as a QPoly")
 
 
-def q_minus_one_power_factor(k: int) -> QPoly:
-    """The polynomial q**k - 1."""
-    if k < 1:
-        raise DomainError("factor exponent must be positive")
-    return QPoly.monomial(k) - QPoly.one()
-
-
-def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-    if g <= 1:
-        return coeffs
-    return tuple(c // g for c in coeffs)
-
-
-def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # lc(b)^(deg a - deg b + 1) * a  mod  b, over the integers
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[-1]
-    rem = list(a)
-    for i in range(da - db, -1, -1):
-        c = rem[i + db]
-        if c:
-            for j in range(len(rem)):
-                rem[j] *= lead
-            for j, y in enumerate(b):
-                rem[i + j] -= c * y
-        # after this pass the coefficient at i+db is zero
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(rem)
-
-
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """A gcd of two integer polynomials, primitive with positive leading coefficient."""
-    x, y = a._c, b._c
-    if len(x) < len(y):
-        x, y = y, x
-    if not x:
-        return QPoly()
-    x = _primitive(x)
-    if y:
-        y = _primitive(y)
-    while y:
-        x, y = y, _primitive(_pseudo_rem(x, y))
-    return QPoly(x if x[-1] > 0 else tuple(-c for c in x))
-
-
-class QRational:
-    """A reduced quotient of two integer polynomials in q."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, numerator: QPoly | int, denominator: QPoly | int = 1):
-        num = _as_qpoly(numerator)
-        den = _as_qpoly(denominator)
-        if not den:
-            raise DomainError("QRational denominator must be nonzero")
-        if den._c[-1] < 0:
-            num, den = -num, -den
-        if num and den != QPoly.one():
-            num, den = _reduce_fraction(num, den)
-        elif not num:
-            den = QPoly.one()
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: QPoly | int) -> "QRational":
-        return cls(p, QPoly.one())
-
-    @classmethod
-    def q_power(cls, exponent: int) -> "QRational":
-        """q**exponent for any integer exponent, negative included."""
-        if exponent >= 0:
-            return cls(QPoly.monomial(exponent))
-        return cls(QPoly.one(), QPoly.monomial(-exponent))
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QRational):
-            return self.num * other.den == other.num * self.den
-        if isinstance(other, (QPoly, int)):
-            return self.num == _as_qpoly(other) * self.den
-        return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("QRational is unhashable; compare with ==")
-
-    def __neg__(self) -> "QRational":
-        out = object.__new__(QRational)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __add__(self, other: "QRational") -> "QRational":
-        other = _as_qrational(other)
-        if self.den == other.den:
-            return QRational(self.num + other.num, self.den)
-        return QRational(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QRational") -> "QRational":
-        return self + (-_as_qrational(other))
-
-    def __rsub__(self, other: "QRational") -> "QRational":
-        return _as_qrational(other) + (-self)
-
-    def __mul__(self, other: "QRational | QPoly | int") -> "QRational":
-        other = _as_qrational(other)
-        return QRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "QRational | QPoly | int") -> "QRational":
-        other = _as_qrational(other)
-        if not other.num:
-            raise DomainError("division of QRational by zero")
-        return QRational(self.num * other.den, self.den * other.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den.divides(self.num)
-
-    def as_qpoly(self) -> QPoly:
-        """Collapse to a polynomial; raises ExactDivisionError otherwise."""
-        return self.num.exact_div(self.den)
-
-    def __call__(self, x: Scalar) -> Scalar:
-        d = self.den(x)
-        if d == 0:
-            raise DomainError("evaluation at a pole")
-        return Fraction(self.num(x), d) if isinstance(x, int) else self.num(x) / d
-
-    def __str__(self) -> str:
-        if self.den == QPoly.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"QRational({self.num!r}, {self.den!r})"
-
-
-def _as_qrational(value: "QRational | QPoly | int") -> QRational:
-    if isinstance(value, QRational):
-        return value
-    return QRational.from_poly(_as_qpoly(value))
-
-
-def _reduce_fraction(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    """Cancel content, q-powers, q**k - 1 factors, then any leftover gcd.
-
-    Denominators produced by the Harder-Narasimhan recursion are products
-    of q-powers and q**k - 1 factors, so the trial-division passes do
-    nearly all the work cheaply; the final gcd pass guarantees the stored
-    form is fully reduced regardless of where the inputs came from.
-    """
-    ng, nv = num.content_and_valuation()
-    dg, dv = den.content_and_valuation()
-    g = math.gcd(ng, dg)
-    v = min(nv, dv)
-    if g > 1 or v:
-        num = QPoly(tuple(c // g for c in num._c[v:]))
-        den = QPoly(tuple(c // g for c in den._c[v:]))
-    k = len(den._c) - 1
-    while k >= 1:
-        f = q_minus_one_power_factor(k)
-        while True:
-            dn = num._try_exact_div(f)
-            if dn is None:
-                break
-            dd = den._try_exact_div(f)
-            if dd is None:
-                break
-            num, den = dn, dd
-        k = min(k - 1, len(den._c) - 1)
-    if den.degree:
-        g_poly = poly_gcd(num, den)
-        if g_poly.degree:
-            num = num.exact_div(g_poly)
-            den = den.exact_div(g_poly)
-    # normalize the content sign pairing once more after cancellations
-    if den._c and den._c[-1] < 0:
-        num, den = -num, -den
-    return num, den
-
-
 def projective_poincare(n: int) -> QPoly:
     """Poincare polynomial of n-dimensional complex projective space.
 
@@ -452,10 +264,19 @@ def projective_poincare(n: int) -> QPoly:
 
 @cache
 def _gaussian(k: int, n: int) -> QPoly:
-    if k == 0 or k == n:
-        return QPoly.one()
-    # q-Pascal: [n k] = [n-1 k-1] + q^k [n-1 k]
-    return _gaussian(k - 1, n - 1) + _gaussian(k, n - 1).shifted(k)
+    # q-Pascal, one row at a time over the columns j <= k:
+    # [r j] = [r-1 j-1] + q^j [r-1 j].  The coefficients of [r j] are
+    # nonnegative and sum to C(r, j), which is at most C(n, k) when
+    # k <= n/2, so each polynomial is carried as its value at
+    # q = 256^width and its coefficients are read back as base-q digits.
+    width = (math.comb(n, k).bit_length() + 7) // 8
+    row = [1] + [0] * k
+    for r in range(1, n + 1):
+        for j in range(min(k, r), 0, -1):
+            row[j] = row[j - 1] + (row[j] << (8 * width * j))
+    data = row[k].to_bytes(width * (k * (n - k) + 1), "little")
+    return QPoly([int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)])
 
 
 def grassmannian_poincare(k: int, n: int) -> QPoly:
@@ -466,7 +287,7 @@ def grassmannian_poincare(k: int, n: int) -> QPoly:
     """
     if not 0 <= k <= n:
         raise DomainError(f"Gaussian binomial needs 0 <= k <= n, got k={k}, n={n}")
-    return _gaussian(k, n)
+    return _gaussian(min(k, n - k), n)
 
 
 def is_palindromic(p: QPoly) -> bool:

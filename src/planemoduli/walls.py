@@ -16,12 +16,8 @@ from fractions import Fraction
 from . import ktheory
 from .divisors import first_wall_destabilizer
 from .errors import AmbiguousChamberError, DomainError, EmptyWallError, NoWallError
-from .exactmath import Scalar
+from .exactmath import Scalar, _frac
 from .ktheory import ChernP2
-
-
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ torus-fixed-point cells instead of expanding the generating function.
 from fractions import Fraction
 from functools import cache
 
-from planemoduli.exactmath import QPoly, QRational
+from planemoduli.exactmath import QPoly
 
 
 def gaussian_binomial_product(k: int, n: int) -> QPoly:
@@ -19,7 +19,7 @@ def gaussian_binomial_product(k: int, n: int) -> QPoly:
     for i in range(1, k + 1):
         num = num * (QPoly.monomial(n - k + i) - QPoly.one())
         den = den * (QPoly.monomial(i) - QPoly.one())
-    return QRational(num, den).as_qpoly()
+    return num.exact_div(den)
 
 
 @cache

@@ -116,6 +116,35 @@ class TestKroneckerPoincare:
         finally:
             betti_module._hn_stack_count.cache_clear()
 
+    def test_convention_drift_fails_loudly_on_larger_vectors(self, monkeypatch):
+        from planemoduli import betti as betti_module
+        original = betti_module._quiver_euler
+        betti_module._hn_stack_count.cache_clear()
+        monkeypatch.setattr(betti_module, "_quiver_euler",
+                            lambda m, a, b: -original(m, a, b))
+        try:
+            for dv in ((3, 2), (5, 4)):
+                with pytest.raises(ConventionError):
+                    betti_module.kronecker_poincare(3, dv)
+        finally:
+            betti_module._hn_stack_count.cache_clear()
+
+    def test_reflection_and_duality(self):
+        # transposing the arrows swaps (e, f); reflecting at the sink and
+        # then transposing maps (e, f) to (3e - f, e); both give isomorphic
+        # moduli spaces
+        for e, f in ((2, 1), (3, 2), (4, 3), (5, 4)):
+            poly = kronecker_poincare(3, (e, f))
+            assert kronecker_poincare(3, (f, e)) == poly
+            assert kronecker_poincare(3, (3 * e - f, e)) == poly
+
+    def test_shapes_beyond_the_oracle(self):
+        for dv, degree, euler in (((6, 5), 30, 2530), ((7, 6), 42, 16965)):
+            poly = kronecker_poincare(3, dv)
+            assert poly.degree == degree
+            assert poly(1) == euler
+            assert is_palindromic(poly)
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             kronecker_poincare(0, (1, 1))

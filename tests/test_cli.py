@@ -93,6 +93,13 @@ class TestTextOutput:
                                          "--at", "1"])
         assert out == "17064\n"
 
+    def test_deep_grassmannian(self, capsys):
+        # the Pascal recurrence runs 1500 rows deep without a traceback
+        code, out, err = run_capture(capsys, ["betti", "--space", "gr:2:1500",
+                                              "--at", "1"])
+        assert (code, out) == (0, "1124250\n")
+        assert "Traceback" not in err
+
     def test_walls_table(self, capsys):
         _, out, _ = run_capture(capsys, ["walls", "--degree", "6"])
         lines = out.splitlines()

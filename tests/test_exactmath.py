@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from planemoduli.errors import DomainError, ExactDivisionError
-from planemoduli.exactmath import (QPoly, QRational, format_rational,
+from planemoduli.exactmath import (QPoly, format_rational,
                                    grassmannian_poincare, is_palindromic,
-                                   parse_rational, poly_gcd,
-                                   projective_poincare,
-                                   q_minus_one_power_factor)
+                                   parse_rational, projective_poincare)
 from oracles import N6_COEFFICIENTS, gaussian_binomial_product
 
 
@@ -95,77 +93,8 @@ class TestQPoly:
 
     def test_monomial_and_factor(self):
         assert QPoly.monomial(3, 2) == QPoly([0, 0, 0, 2])
-        assert q_minus_one_power_factor(3) == QPoly([-1, 0, 0, 1])
         with pytest.raises(DomainError):
             QPoly.monomial(-1)
-
-
-class TestPolyGcd:
-    def test_recovers_common_factor(self):
-        rng = random.Random(23)
-        for _ in range(60):
-            g = QPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
-            a = QPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
-            b = QPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
-            d = poly_gcd(g * a, g * b)
-            assert d.divides(g * a) and d.divides(g * b)
-            assert g.divides(d) or d.degree >= g.degree
-
-    def test_coprime_gives_constant(self):
-        assert poly_gcd(QPoly([1, 1]), QPoly([2])).degree == 0
-        assert poly_gcd(QPoly(), QPoly([0, 0, 3])) == QPoly([0, 0, 1])
-
-
-class TestQRational:
-    def test_reduction_cancels_common_factors(self):
-        # (q^3 - 1) / (q - 1) stored as 1 + q + q^2
-        r = QRational(QPoly([-1, 0, 0, 1]), QPoly([-1, 1]))
-        assert r.num == QPoly([1, 1, 1])
-        assert r.den == QPoly.one()
-
-    def test_equality_by_cross_multiplication(self):
-        a = QRational(QPoly([1]), QPoly([-1, 1]))
-        b = QRational(QPoly([1, 1]), QPoly([-1, 0, 1]))
-        assert a == b
-
-    def test_q_power(self):
-        assert QRational.q_power(3) == QPoly.monomial(3)
-        neg = QRational.q_power(-2)
-        assert neg * QPoly.monomial(2) == 1
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(DomainError):
-            QRational(QPoly.one(), QPoly())
-
-    def test_arithmetic_matches_scalar_evaluation(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            def rand_rf():
-                num = QPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
-                den = QPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] + [1])
-                return QRational(num, den)
-            x, y = rand_rf(), rand_rf()
-            for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
-                z = op(x, y)
-                for point in (2, 3, Fraction(1, 5)):
-                    if y.den(point) == 0 or x.den(point) == 0 or z.den(point) == 0:
-                        continue
-                    assert z(point) == op(x(point), y(point))
-
-    def test_as_qpoly(self):
-        assert QRational(QPoly([0, 0, 1]), QPoly([0, 1])).as_qpoly() == QPoly([0, 1])
-        with pytest.raises(ExactDivisionError):
-            QRational(QPoly([1]), QPoly([0, 1])).as_qpoly()
-
-    def test_stored_form_is_fully_reduced(self):
-        rng = random.Random(37)
-        for _ in range(80):
-            def rand_poly(lo=1, hi=4):
-                return QPoly([rng.randint(-3, 3)
-                              for _ in range(rng.randint(lo, hi))] + [1])
-            common = rand_poly()
-            r = QRational(rand_poly() * common, rand_poly() * common)
-            assert poly_gcd(r.num, r.den).degree == 0
 
 
 class TestProjectivePoincare:
