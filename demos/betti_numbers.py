@@ -25,7 +25,7 @@ for n in range(5):
 for dv in ((1, 1), (2, 1), (3, 2)):
     poly = kronecker_poincare(3, dv)
     checks = {p: (poly(p), brute_force_kronecker_count(3, dv, p))
-              for p in (2,)}
+              for p in (2, 3)}
     print(f"N(3; {dv[0]}, {dv[1]}): {poly}")
     for p, (want, got) in checks.items():
         marker = "ok" if want == got else "MISMATCH"

@@ -13,7 +13,9 @@ Three independent point-count engines feed the final assembly:
     filtrations) evaluated exactly at integer q, the polynomial's
     coefficients read off as the base-B digits of its value at q = B;
   * a finite-field brute force that literally counts semistable tuples of
-    matrices over F_p, used as an oracle for the recursion's conventions.
+    matrices over F_p, used as an oracle for the recursion's conventions;
+    each tuple's stability is read off precomputed preimage bitmasks, one
+    AND and one popcount per subspace of the target.
 
 The wall-crossing assembly then adds, for each wall, the difference of two
 projective-bundle polynomials times the polynomial of the wall's center,
@@ -26,10 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from typing import NamedTuple
-
-import numpy as np
 
 from . import ktheory
 from .errors import ConventionError, DomainError
@@ -100,6 +99,11 @@ def hilb_model_poincare(n: int, k: int) -> QPoly:
 
 # ---------------------------------------------------------------------------
 # Kronecker quiver moduli
+
+#: largest e + f the recursion accepts; its HN types grow exponentially
+#: with e + f, and (9, 8) already takes seconds
+MAX_KRONECKER_SIZE = 17
+
 
 class DimVector(NamedTuple):
     """Dimension vector (e, f) of a quiver representation."""
@@ -198,6 +202,9 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
     if math.gcd(dv.e, dv.f) != 1:
         raise DomainError(f"dimension vector {tuple(dv)} is not coprime; "
                           "the moduli point count needs gcd(e, f) = 1")
+    if dv.e + dv.f > MAX_KRONECKER_SIZE:
+        raise DomainError(f"dimension vector {tuple(dv)} is too large for the "
+                          f"recursion (limit e + f <= {MAX_KRONECKER_SIZE})")
 
     def moduli_count(q: int) -> int:
         value = (q - 1) * _hn_stack_count(m, dv.e, dv.f, q)
@@ -239,6 +246,10 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
 
 MAX_BRUTE_FORCE_EXPONENT = 20
 
+#: widest preimage bitmask, one bit per vector of the larger space; with
+#: two or more arrows the other guards keep masks below 2 * 10^4 bits
+MAX_PREIMAGE_MASK_BITS = 1 << 16
+
 
 def _gaussian_at(k: int, n: int, p: int) -> int:
     value = grassmannian_poincare(k, n)(p)
@@ -254,86 +265,6 @@ def _rank_count(f: int, e: int, r: int, p: int) -> int:
     return out
 
 
-def _subspace_bases(e: int, p: int) -> list[tuple[int, np.ndarray]]:
-    """All nonzero subspaces of F_p^e as (dim, reduced-echelon basis matrix)."""
-    out = []
-    for k in range(1, e + 1):
-        for pivots in combinations(range(e), k):
-            free = [(row, col)
-                    for row, piv in enumerate(pivots)
-                    for col in range(piv + 1, e) if col not in pivots]
-            for stamp in range(p ** len(free)):
-                basis = np.zeros((k, e), dtype=np.int32)
-                for row, piv in enumerate(pivots):
-                    basis[row, piv] = 1
-                rest = stamp
-                for row, col in free:
-                    basis[row, col] = rest % p
-                    rest //= p
-                out.append((k, basis))
-    return out
-
-
-def _det3(a: np.ndarray) -> np.ndarray:
-    return (a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-            - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-            + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0]))
-
-
-def _stable_completions(psi: np.ndarray, m: int, e: int, f: int, p: int,
-                        subspaces: list[tuple[int, np.ndarray]]) -> int:
-    """Count (m-1)-tuples completing the fixed first matrix to a semistable tuple.
-
-    A tuple is destabilized by a subspace E' of dimension k exactly when
-    the span of all its images has dimension at most (k f - 1) // e; the
-    span-dimension bounds are tested through vanishing minors, filtering
-    the surviving sample indices after every minor to keep the work small.
-    """
-    nfree = (m - 1) * f * e
-    total = p ** nfree
-    idx = np.arange(total, dtype=np.int64)
-    phis = [np.broadcast_to(psi, (total, f, e))]
-    for j in range(m - 1):
-        arr = np.empty((total, f * e), dtype=np.int32)
-        base = j * f * e
-        for i in range(f * e):
-            arr[:, i] = (idx // p ** (base + i)) % p
-        phis.append(arr.reshape(total, f, e))
-    destabilized = np.zeros(total, dtype=bool)
-    for k, basis in subspaces:
-        bound = (k * f - 1) // e
-        images = np.concatenate([(phi @ basis.T) % p for phi in phis], axis=2)
-        ncols = images.shape[2]
-        if bound == 0:
-            destabilized |= (images == 0).all(axis=(1, 2))
-            continue
-        cand = np.nonzero(~destabilized)[0]
-        if bound == 1:
-            for rows in combinations(range(f), 2):
-                for cols in combinations(range(ncols), 2):
-                    if cand.size == 0:
-                        break
-                    sub = images[np.ix_(cand, rows, cols)]
-                    det = (sub[:, 0, 0] * sub[:, 1, 1]
-                           - sub[:, 0, 1] * sub[:, 1, 0]) % p
-                    cand = cand[det == 0]
-                if cand.size == 0:
-                    break
-        elif bound == 2:
-            for rows in combinations(range(f), 3):
-                for cols in combinations(range(ncols), 3):
-                    if cand.size == 0:
-                        break
-                    det = _det3(images[np.ix_(cand, rows, cols)]) % p
-                    cand = cand[det == 0]
-                if cand.size == 0:
-                    break
-        else:  # bound <= f - 1 <= 2 whenever f <= 3
-            raise DomainError("span-dimension bound above 2 is not supported")
-        destabilized[cand] = True
-    return int(total - destabilized.sum())
-
-
 def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
                                 p: int) -> int:
     """Point count of the Kronecker moduli space over F_p by enumeration.
@@ -342,8 +273,10 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
     and divides by the free (GL_e x GL_f)/scalars action.  The enumeration
     fixes the first matrix in its rank normal form and weights by orbit
     size, which leaves the count unchanged and removes a factor p^{e f}
-    from the search space.  Completely independent of the recursion: only
-    linear algebra over F_p enters.
+    from the search space.  Each tuple is tested against precomputed
+    preimage bitmasks by the array kernel in _fieldcount, which is loaded
+    only here, after the guards.  Completely independent of the
+    recursion: only linear algebra over F_p enters.
     """
     dv = _as_dimvector(dv)
     e, f = dv
@@ -362,19 +295,19 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
             f"enumeration of {p}^{m * e * f} tuples is infeasible")
     if min(e, f) > 3:
         raise DomainError("brute force supports min(e, f) <= 3")
+    if p ** max(e, f) > MAX_PREIMAGE_MASK_BITS:
+        raise DomainError(
+            f"preimage bitmasks over {p}^{max(e, f)} vectors are infeasible "
+            f"(limit {MAX_PREIMAGE_MASK_BITS} bits)")
     if e < f:
         # transposing every matrix is a stability-preserving bijection
         e, f = f, e
-    subspaces = _subspace_bases(e, p)
-    stable = 0
-    for r in range(min(e, f) + 1):
-        orbit = _rank_count(f, e, r, p)
-        if orbit == 0:
-            continue
-        psi = np.zeros((f, e), dtype=np.int32)
-        for i in range(r):
-            psi[i, i] = 1
-        stable += orbit * _stable_completions(psi, m, e, f, p, subspaces)
+    from . import _fieldcount
+    # the first matrix of rank r is fixed to ones at (i, i) for i < r and
+    # weighted by the number of f x e matrices of rank r
+    normal_forms = [sum(p ** (i * e + i) for i in range(r)) for r in range(f + 1)]
+    completions = _fieldcount.stable_completions(normal_forms, m, e, f, p)
+    stable = sum(_rank_count(f, e, r, p) * n for r, n in enumerate(completions))
     group_order = 1
     for n in (e, f):
         for i in range(n):

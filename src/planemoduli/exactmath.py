@@ -262,6 +262,11 @@ def projective_poincare(n: int) -> QPoly:
     return QPoly((1,) * (n + 1))
 
 
+#: largest Grassmannian dimension k (n - k) accepted; the q-Pascal rows
+#: cost grows roughly with its square, and gr:100:200 already takes seconds
+MAX_GRASSMANNIAN_DIMENSION = 10_000
+
+
 @cache
 def _gaussian(k: int, n: int) -> QPoly:
     # q-Pascal, one row at a time over the columns j <= k:
@@ -287,6 +292,9 @@ def grassmannian_poincare(k: int, n: int) -> QPoly:
     """
     if not 0 <= k <= n:
         raise DomainError(f"Gaussian binomial needs 0 <= k <= n, got k={k}, n={n}")
+    if k * (n - k) > MAX_GRASSMANNIAN_DIMENSION:
+        raise DomainError(f"Gr({k}, {n}) has dimension {k * (n - k)}, above the "
+                          f"limit {MAX_GRASSMANNIAN_DIMENSION}")
     return _gaussian(min(k, n - k), n)
 
 

@@ -20,6 +20,11 @@ from .exactmath import Scalar, _frac
 from .ktheory import ChernP2
 
 
+#: largest degree whose candidates are enumerated; the candidate count
+#: grows like d^3 (176,452 candidates at d = 200)
+MAX_WALL_DEGREE = 200
+
+
 @dataclass(frozen=True)
 class Wall:
     """A semicircular wall: center (x, 0), squared radius radius_sq > 0."""
@@ -115,6 +120,9 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     """
     if d < 3:
         raise DomainError("potential wall enumeration needs degree >= 3")
+    if d > MAX_WALL_DEGREE:
+        raise DomainError(f"potential wall enumeration is limited to degree "
+                          f"<= {MAX_WALL_DEGREE}")
     v = ktheory.moduli(d)
     lo = wall_between(v, ktheory.line_bundle(0)).radius_sq
     hi = wall_between(v, first_wall_destabilizer(d)).radius_sq

@@ -3,11 +3,14 @@
 Each oracle recomputes a quantity by a route disjoint from the library
 implementation it checks: the Gaussian binomial by its product formula
 instead of the Pascal recurrence, Hilbert-scheme Betti numbers by counting
-torus-fixed-point cells instead of expanding the generating function.
+torus-fixed-point cells instead of expanding the generating function, and
+Kronecker moduli point counts by plain enumeration with row reduction
+instead of normal forms and preimage bitmasks.
 """
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from planemoduli.exactmath import QPoly
 
@@ -63,6 +66,80 @@ def partition_triple_count(n: int) -> int:
             total += (len(partitions(na)) * len(partitions(nb))
                       * len(partitions(n - na - nb)))
     return total
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of a list of vectors, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inverse % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                factor = rows[i][col]
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _subspace_bases(n: int, p: int) -> list[list[tuple[int, ...]]]:
+    """A basis of every nonzero subspace of F_p^n, each subspace once.
+
+    Spans of all nonempty vector sets of size <= n, deduplicated by their
+    full sets of elements.
+    """
+    vectors = list(product(range(p), repeat=n))
+    seen: dict[frozenset, list[tuple[int, ...]]] = {}
+    frontier = [[]]
+    for _ in range(n):
+        grown = []
+        for basis in frontier:
+            for v in vectors:
+                if _rank_mod_p(basis + [v], p) == len(basis) + 1:
+                    span = frozenset(
+                        tuple(sum(c * b[i] for c, b in zip(coeffs, basis + [v])) % p
+                              for i in range(n))
+                        for coeffs in product(range(p), repeat=len(basis) + 1))
+                    if span not in seen:
+                        seen[span] = basis + [v]
+                        grown.append(basis + [v])
+        frontier = grown
+    return list(seen.values())
+
+
+def kronecker_count_by_enumeration(m: int, e: int, f: int, p: int) -> int:
+    """Point count of the m-Kronecker moduli space over F_p, tuple by tuple.
+
+    Runs over all p^{m e f} tuples of f x e matrices.  A tuple is unstable
+    when some nonzero subspace E' of F_p^e, of dimension k, has images
+    spanning a subspace of dimension s with s e < k f; the count of stable
+    tuples times p - 1 is divided by |GL_e| |GL_f|.
+    """
+    subspaces = _subspace_bases(e, p)
+    entries = list(product(range(p), repeat=f * e))
+    matrices = [[row[i * e:(i + 1) * e] for i in range(f)] for row in entries]
+
+    def image(a, v):
+        return [sum(x * y for x, y in zip(row, v)) % p for row in a]
+
+    stable = 0
+    for tup in product(matrices, repeat=m):
+        if all(_rank_mod_p([image(a, v) for a in tup for v in basis], p) * e
+               >= len(basis) * f for basis in subspaces):
+            stable += 1
+    order = 1
+    for n in (e, f):
+        for i in range(n):
+            order *= p ** n - p ** i
+    numerator = stable * (p - 1)
+    assert numerator % order == 0
+    return numerator // order
 
 
 # Printed 21-coefficient polynomial of the 3-Kronecker moduli N(3; 5, 4).

@@ -153,6 +153,10 @@ class TestKroneckerPoincare:
         with pytest.raises(DomainError):
             kronecker_poincare(3, (-1, 2))
 
+    def test_size_limit(self):
+        with pytest.raises(DomainError):
+            kronecker_poincare(3, (10, 9))
+
 
 class TestBruteForce:
     def test_plane_counts(self):

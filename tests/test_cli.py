@@ -52,6 +52,18 @@ class TestExitCodes:
         assert code == 0
         assert "walls" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["betti", "--space", "kronecker:3:11:10"],
+        ["betti", "--space", "kronecker:3:13:12"],
+        ["betti", "--space", "gr:200:400"],
+        ["walls", "--degree", "300"],
+    ])
+    def test_unbounded_work_rejected_up_front(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestTextOutput:
     def test_nef(self, capsys):

@@ -144,6 +144,13 @@ class TestGrassmannianPoincare:
         with pytest.raises(DomainError):
             grassmannian_poincare(-1, 2)
 
+    def test_dimension_limit(self):
+        assert grassmannian_poincare(1, 10_001).degree == 10_000
+        with pytest.raises(DomainError):
+            grassmannian_poincare(1, 10_002)
+        with pytest.raises(DomainError):
+            grassmannian_poincare(200, 400)
+
 
 class TestIsPalindromic:
     def test_examples(self):

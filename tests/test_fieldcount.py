@@ -1,0 +1,81 @@
+"""The finite-field oracle against plain enumeration and the recursion.
+
+Also checks that numpy, which only the oracle needs, stays off the import
+path of the package and of the command line.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from planemoduli import betti
+from planemoduli.betti import brute_force_kronecker_count
+from planemoduli.errors import DomainError
+from oracles import kronecker_count_by_enumeration
+
+#: (m, e, f, p) with m in {2, 4, 5} and p in {2, 3, 5}, plus three 3-arrow
+#: shapes; those with 5^3 or 3^4 source vectors need two 64-bit mask words
+SHAPES = [
+    (2, 1, 1, 2), (2, 1, 1, 3), (2, 1, 1, 5), (2, 2, 1, 2), (2, 2, 1, 3),
+    (2, 1, 2, 5), (2, 3, 1, 3), (2, 2, 3, 2), (2, 3, 2, 3), (2, 1, 0, 5),
+    (2, 3, 2, 5), (2, 2, 3, 5),
+    (4, 1, 1, 5), (4, 2, 1, 3), (4, 1, 3, 2), (4, 3, 1, 3), (4, 4, 1, 2),
+    (5, 1, 1, 3), (5, 2, 1, 2), (5, 2, 1, 5), (5, 1, 2, 3), (5, 3, 1, 2),
+    (3, 3, 1, 5), (3, 1, 3, 5), (3, 4, 1, 3),
+]
+
+#: the plain enumeration visits p^(m e f) tuples; beyond this it is slow
+REFERENCE_TUPLES = 5000
+
+
+@pytest.mark.parametrize("m, e, f, p", SHAPES)
+def test_oracle_matches_enumeration_and_recursion(m, e, f, p):
+    count = brute_force_kronecker_count(m, (e, f), p)
+    if p ** (m * e * f) <= REFERENCE_TUPLES:
+        assert count == kronecker_count_by_enumeration(m, e, f, p)
+    recursion = (p - 1) * betti._hn_stack_count(m, e, f, p)
+    assert count == recursion
+    if recursion:
+        assert count == betti.kronecker_poincare(m, (e, f))(p)
+
+
+def _modules_after(code: str) -> str:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = textwrap.dedent(code) + "\nprint('numpy' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("code", [
+    "import planemoduli",
+    """
+    import contextlib, io
+    from planemoduli import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["betti", "--space", "M6"]) == 0
+    """,
+    """
+    from planemoduli import DomainError, brute_force_kronecker_count
+    try:
+        brute_force_kronecker_count(3, (4, 3), 2)
+    except DomainError:
+        pass
+    else:
+        raise AssertionError("the guard did not fire")
+    """,
+], ids=["import", "cli-betti-M6", "oracle-guard"])
+def test_numpy_stays_off_the_import_path(code):
+    assert _modules_after(code) == "False"
+
+
+def test_mask_width_guard():
+    # one arrow and a 2^17-vector source space: masks wider than 2^16 bits
+    with pytest.raises(DomainError):
+        brute_force_kronecker_count(1, (1, 17), 2)

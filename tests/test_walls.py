@@ -103,6 +103,10 @@ class TestEnumeratePotentialWalls:
         with pytest.raises(DomainError):
             enumerate_potential_walls(2)
 
+    def test_degree_too_large(self):
+        with pytest.raises(DomainError):
+            enumerate_potential_walls(201)
+
 
 class TestReferenceSystems:
     def test_hilb8_data(self):
