@@ -42,8 +42,8 @@ hilb4 = transform_walls(transform_walls(abch_reference_walls(4), "dual"),
 w4 = wall_between(moduli(6), ChernP2(1, 1, Fraction(1, 2)))
 print("\nfourth wall:", w4)
 print("model index against the four-point system:", locate_model(w4, hilb4))
-for tagged in hilb4.walls:
-    print(f"  transformed reference wall x={tagged.x}: {tagged.wall}")
+for ref in hilb4.walls:
+    print(f"  transformed reference wall: {ref}")
 
 # %% Render the degree-6 picture.
 if len(sys.argv) > 1:

@@ -35,9 +35,6 @@ from .errors import ConventionError, DomainError
 from .exactmath import QPoly, grassmannian_poincare, projective_poincare
 from .ktheory import ChernP2, euler_hom
 
-#: Poincare polynomials are plain QPoly values with nonnegative coefficients.
-PoincarePolynomial = QPoly
-
 MAX_HILB_POINTS = 12
 
 
@@ -103,6 +100,11 @@ def hilb_model_poincare(n: int, k: int) -> QPoly:
 #: largest e + f the recursion accepts; its HN types grow exponentially
 #: with e + f, and (9, 8) already takes seconds
 MAX_KRONECKER_SIZE = 17
+
+#: largest moduli dimension m e f - e^2 - f^2 + 1 accepted; the integers
+#: of the recursion and the digit string of P(B) grow with it, and
+#: N(6; 9, 8), of dimension 288, already takes tens of seconds
+MAX_KRONECKER_DEGREE = 100
 
 
 class DimVector(NamedTuple):
@@ -205,6 +207,11 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
     if dv.e + dv.f > MAX_KRONECKER_SIZE:
         raise DomainError(f"dimension vector {tuple(dv)} is too large for the "
                           f"recursion (limit e + f <= {MAX_KRONECKER_SIZE})")
+    degree = m * dv.e * dv.f - dv.e ** 2 - dv.f ** 2 + 1
+    if degree > MAX_KRONECKER_DEGREE:
+        raise DomainError(f"moduli space of {tuple(dv)} with {m} arrows has "
+                          f"dimension {degree}, above the limit "
+                          f"{MAX_KRONECKER_DEGREE}")
 
     def moduli_count(q: int) -> int:
         value = (q - 1) * _hn_stack_count(m, dv.e, dv.f, q)
@@ -213,8 +220,6 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
                 f"(q-1) * stack count for {tuple(dv)} is not an integer at "
                 f"q = {q}; the recursion's sign convention has drifted")
         return value.numerator
-
-    degree = m * dv.e * dv.f - dv.e ** 2 - dv.f ** 2 + 1
 
     def shape_error(shown: object) -> ConventionError:
         return ConventionError(
@@ -251,15 +256,9 @@ MAX_BRUTE_FORCE_EXPONENT = 20
 MAX_PREIMAGE_MASK_BITS = 1 << 16
 
 
-def _gaussian_at(k: int, n: int, p: int) -> int:
-    value = grassmannian_poincare(k, n)(p)
-    assert isinstance(value, int)
-    return value
-
-
 def _rank_count(f: int, e: int, r: int, p: int) -> int:
     """Number of f x e matrices over F_p of rank r."""
-    out = _gaussian_at(r, e, p)
+    out = grassmannian_poincare(r, e)(p)
     for i in range(r):
         out *= p ** f - p ** i
     return out
@@ -270,10 +269,10 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
     """Point count of the Kronecker moduli space over F_p by enumeration.
 
     Counts m-tuples of f x e matrices with no destabilizing subspace pair
-    and divides by the free (GL_e x GL_f)/scalars action.  The enumeration
-    fixes the first matrix in its rank normal form and weights by orbit
-    size, which leaves the count unchanged and removes a factor p^{e f}
-    from the search space.  Each tuple is tested against precomputed
+    and takes the quotient by the free (GL_e x GL_f)/scalars action.  The
+    enumeration fixes the first matrix in its rank normal form and weights
+    by orbit size, which leaves the count unchanged and removes a factor
+    p^{e f} from the search space.  Each tuple is tested against precomputed
     preimage bitmasks by the array kernel in _fieldcount, which is loaded
     only here, after the guards.  Completely independent of the
     recursion: only linear algebra over F_p enters.
@@ -308,10 +307,7 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
     normal_forms = [sum(p ** (i * e + i) for i in range(r)) for r in range(f + 1)]
     completions = _fieldcount.stable_completions(normal_forms, m, e, f, p)
     stable = sum(_rank_count(f, e, r, p) * n for r, n in enumerate(completions))
-    group_order = 1
-    for n in (e, f):
-        for i in range(n):
-            group_order *= p ** n - p ** i
+    group_order = _gl_order(e, p) * _gl_order(f, p)
     numerator = stable * (p - 1)
     if numerator % group_order != 0:
         raise ConventionError(

@@ -85,9 +85,6 @@ class ChowCurveP2:
     def p_part(self) -> ChowP2:
         return ChowP2(self.ap, self.aph, self.aph2)
 
-    def is_p_free(self) -> bool:
-        return self.ap == 0 and self.aph == 0 and self.aph2 == 0
-
     def __add__(self, other: "ChowCurveP2") -> "ChowCurveP2":
         return ChowCurveP2(self.a1 + other.a1, self.ah + other.ah,
                            self.ah2 + other.ah2, self.ap + other.ap,
@@ -122,11 +119,6 @@ MONOMIALS = ("1", "h", "h2", "p", "ph", "ph2")
 
 _FIELD_BY_TAG = {"1": "a1", "h": "ah", "h2": "ah2",
                  "p": "ap", "ph": "aph", "ph2": "aph2"}
-
-
-def mul(x: ChowCurveP2, y: ChowCurveP2) -> ChowCurveP2:
-    """Graded product with the truncations p^2 = 0 and h^3 = 0."""
-    return x * y
 
 
 def exp_class(alpha: Scalar, beta: Scalar) -> ChowCurveP2:

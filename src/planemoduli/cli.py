@@ -127,21 +127,15 @@ def _cmd_walls(args) -> int:
     return 0
 
 
-def _cmd_nef(args) -> int:
-    a, b = divisors.nef_generators(args.degree)
+def _cmd_cone(args) -> int:
+    if args.command == "nef":
+        (a, b), key = divisors.nef_generators(args.degree), "B"
+    else:
+        (a, b), key = divisors.effective_generators(args.degree), "L"
     if args.json:
-        _print_json({"A": a.to_json(), "B": b.to_json()})
+        _print_json({"A": a.to_json(), key: b.to_json()})
     else:
         print(f"{a}, {b}")
-    return 0
-
-
-def _cmd_effective(args) -> int:
-    a, l = divisors.effective_generators(args.degree)
-    if args.json:
-        _print_json({"A": a.to_json(), "L": l.to_json()})
-    else:
-        print(f"{a}, {l}")
     return 0
 
 
@@ -266,8 +260,8 @@ def render_svg(wall_list: list[Wall], path: str) -> None:
 
 _COMMANDS = {
     "walls": _cmd_walls,
-    "nef": _cmd_nef,
-    "effective": _cmd_effective,
+    "nef": _cmd_cone,
+    "effective": _cmd_cone,
     "divisor": _cmd_divisor,
     "intersect": _cmd_intersect,
     "euler": _cmd_euler,
@@ -308,11 +302,16 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse -h/--help
         code = exc.code
         return 0 if code in (0, None) else USAGE_ERROR
-    except PlaneModuliError as exc:
+    except (PlaneModuliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # Python will not print an int of more than
+        # sys.get_int_max_str_digits() digits; every command renders its
+        # output in full before printing, so stdout stays empty
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: the result has too many digits to print", file=sys.stderr)
         return DOMAIN_ERROR
 
 

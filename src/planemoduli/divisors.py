@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import chow, ktheory
 from .chow import ChowCurveP2
 from .errors import ConventionError, DomainError
-from .exactmath import Scalar, _frac
+from .exactmath import Scalar, _frac, _signed_sum
 from .ktheory import ChernP2
 
 
@@ -51,17 +51,7 @@ class DivisorAL:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for coef, name in ((self.a, "A"), (self.l, "L")):
-            if coef == 0:
-                continue
-            mag = abs(coef)
-            body = name if mag == 1 else f"{mag}{name}"
-            if not parts:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return _signed_sum(((self.a, "A"), (self.l, "L")), times="")
 
     def to_json(self) -> dict[str, str]:
         return {"a": str(self.a), "l": str(self.l)}

@@ -32,7 +32,13 @@ Scalar = Union[int, Fraction]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or "num") into an exact rational."""
+    """Parse "num/den", "num" or a decimal such as "0.5" into an exact rational.
+
+    Exponent notation is rejected: "1e3000000" would build a
+    million-digit integer before anything could check its size.
+    """
+    if "e" in text.lower():
+        raise DomainError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -42,6 +48,26 @@ def parse_rational(text: str) -> Fraction:
 def _frac(x: Scalar) -> Fraction:
     """x as a Fraction, without rebuilding one that already is."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _signed_sum(terms: Iterable[tuple[Scalar, str]], times: str = "*") -> str:
+    """Render (coefficient, monomial) terms as "3*q^2 - q + 1"; "0" if all vanish.
+
+    Zero terms are skipped, a unit coefficient is dropped before a
+    monomial, and `times` joins any other coefficient to its monomial
+    ("" gives "16A").  An empty monomial is the constant term.
+    """
+    parts: list[str] = []
+    for coef, mono in terms:
+        if coef == 0:
+            continue
+        mag = abs(coef)
+        body = mono if (mag == 1 and mono) else (f"{mag}{times}{mono}" if mono else str(mag))
+        if parts:
+            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+        else:
+            parts.append(body if coef > 0 else f"-{body}")
+    return " ".join(parts) if parts else "0"
 
 
 def format_rational(value: Scalar) -> str:
@@ -166,16 +192,6 @@ class QPoly:
             raise DomainError("shift exponent must be nonnegative")
         return QPoly((0,) * k + self._c) if self._c else QPoly()
 
-    def content_and_valuation(self) -> tuple[int, int]:
-        """gcd of coefficients and the lowest power with nonzero coefficient."""
-        if not self._c:
-            return 0, 0
-        g = 0
-        for c in self._c:
-            g = math.gcd(g, c)
-        v = next(i for i, c in enumerate(self._c) if c)
-        return g, v
-
     def exact_div(self, divisor: "QPoly") -> "QPoly":
         """Exact polynomial quotient self / divisor.
 
@@ -183,38 +199,22 @@ class QPoly:
         forces a non-integer coefficient; callers rely on this to detect
         convention drift.
         """
-        q = self._try_exact_div(divisor)
-        if q is None:
-            raise ExactDivisionError("polynomial division is not exact")
-        return q
-
-    def _try_exact_div(self, divisor: "QPoly") -> "QPoly | None":
         b = divisor._c
         if not b:
             raise DomainError("division by the zero polynomial")
-        a = self._c
-        if not a:
-            return QPoly()
-        if len(a) < len(b):
-            return None
-        rem = list(a)
-        lead = b[-1]
-        out = [0] * (len(a) - len(b) + 1)
-        for i in range(len(a) - len(b), -1, -1):
-            c = rem[i + len(b) - 1]
-            if c % lead != 0:
-                return None
-            t = c // lead
+        rem = list(self._c)
+        out = [0] * max(len(rem) - len(b) + 1, 0)
+        for i in reversed(range(len(out))):
+            t, r = divmod(rem[i + len(b) - 1], b[-1])
+            if r:
+                break  # that coefficient stays nonzero in rem
             out[i] = t
             if t:
                 for j, y in enumerate(b):
                     rem[i + j] -= t * y
         if any(rem):
-            return None
+            raise ExactDivisionError("polynomial division is not exact")
         return QPoly(out)
-
-    def divides(self, other: "QPoly") -> bool:
-        return other._try_exact_div(self) is not None
 
     def to_coefficient_strings(self) -> list[str]:
         """Serialize as the JSON wire format: coefficient strings, ascending."""
@@ -225,20 +225,8 @@ class QPoly:
         return cls(tuple(int(s) for s in items))
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for i, c in enumerate(self._c):
-            if c == 0:
-                continue
-            mono = "" if i == 0 else ("q" if i == 1 else f"q^{i}")
-            mag = abs(c)
-            body = mono if (mag == 1 and mono) else (f"{mag}*{mono}" if mono else str(mag))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_sum((c, "" if i == 0 else "q" if i == 1 else f"q^{i}")
+                           for i, c in enumerate(self._c))
 
     def __repr__(self) -> str:
         return f"QPoly({list(self._c)!r})"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactmath import Scalar, _frac
+from .exactmath import Scalar, _frac, _signed_sum, parse_rational
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,14 @@ class ChernP2:
 
 
 def parse_chern(text: str) -> ChernP2:
-    """Parse "r,c,e" with e a rational such as -7/2."""
+    """Parse "r,c,e" with e a rational such as -7/2 (no exponent notation)."""
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 3:
         raise DomainError(f"expected a Chern character as r,c,e, got {text!r}")
     try:
         r, c = int(parts[0]), int(parts[1])
-        e = Fraction(parts[2])
-    except (ValueError, ZeroDivisionError) as exc:
+        e = parse_rational(parts[2])
+    except ValueError as exc:
         raise DomainError(f"cannot parse Chern character {text!r}") from exc
     return ChernP2(r, c, e)
 
@@ -150,18 +150,8 @@ class HilbertPolynomial:
         return self.quadratic * m * m + self.linear * m + self.constant
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for coef, mono in ((self.quadratic, "m^2"), (self.linear, "m"),
-                           (self.constant, "")):
-            if coef == 0:
-                continue
-            mag = abs(coef)
-            body = mono if (mono and mag == 1) else (f"{mag}*{mono}" if mono else str(mag))
-            if not parts:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return _signed_sum(((self.quadratic, "m^2"), (self.linear, "m"),
+                            (self.constant, "")))
 
 
 def hilbert_polynomial(v: ChernP2) -> HilbertPolynomial:

@@ -58,36 +58,20 @@ class Wall:
 
 
 @dataclass(frozen=True)
-class TaggedWall:
-    """A reference wall remembering the x-parameter it was tabulated under."""
-
-    x: Fraction
-    wall: Wall
-
-
-@dataclass(frozen=True)
 class ReferenceWallSystem:
-    """An ordered system of reference walls for one Hilbert scheme."""
+    """The reference walls of one Hilbert scheme, outermost first."""
 
     label: str
-    walls: tuple[TaggedWall, ...]
-
-    @classmethod
-    def from_entries(cls, label: str,
-                     entries: list[tuple[Fraction, Wall]]) -> "ReferenceWallSystem":
-        tagged = tuple(TaggedWall(x, w) for x, w in
-                       sorted(entries, key=lambda e: e[1].radius_sq, reverse=True))
-        return cls(label, tagged)
+    walls: tuple[Wall, ...]
 
     def twisted(self, n: int) -> "ReferenceWallSystem":
         return ReferenceWallSystem(
             f"{self.label}+{n}" if n >= 0 else f"{self.label}{n}",
-            tuple(TaggedWall(t.x, t.wall.twisted(n)) for t in self.walls))
+            tuple(w.twisted(n) for w in self.walls))
 
     def dualized(self) -> "ReferenceWallSystem":
-        return ReferenceWallSystem(
-            f"{self.label}^",
-            tuple(TaggedWall(t.x, t.wall.dualized()) for t in self.walls))
+        return ReferenceWallSystem(f"{self.label}^",
+                                   tuple(w.dualized() for w in self.walls))
 
 
 def wall_between(v: ChernP2, w: ChernP2) -> Wall:
@@ -159,7 +143,7 @@ def locate_model(wall: Wall, refs: ReferenceWallSystem) -> int:
     Counts the reference walls strictly enclosing (center, radius); raises
     AmbiguousChamberError if the top point lies exactly on a reference wall.
     """
-    return sum(1 for t in refs.walls if t.wall.encloses(wall))
+    return sum(1 for ref in refs.walls if ref.encloses(wall))
 
 
 def abch_reference_walls(n: int) -> ReferenceWallSystem:
@@ -167,9 +151,10 @@ def abch_reference_walls(n: int) -> ReferenceWallSystem:
 
     For n = 8 the tabulated x-parameters are -17/2 (listed twice in the
     source table; stored once, since a duplicate cannot change an
-    enclosure count), -15/2, -13/2, -11/2, -5, -9/2, -25/6 with squared
-    radius x^2 - 16.  For n = 4 they are -9/2, -7/2, -3 with squared
-    radius x^2 - 8.
+    enclosure count), -15/2, -13/2, -11/2, -5, -9/2, -25/6; each is the
+    center of a wall with squared radius x^2 - 16.  For n = 4 they are
+    -9/2, -7/2, -3 with squared radius x^2 - 8.  Both lists run from the
+    outermost wall inwards.
     """
     if n == 8:
         xs = [Fraction(-17, 2), Fraction(-15, 2), Fraction(-13, 2),
@@ -180,5 +165,4 @@ def abch_reference_walls(n: int) -> ReferenceWallSystem:
         shift = 8
     else:
         raise DomainError(f"no tabulated reference walls for Hilb^{n}")
-    entries = [(x, Wall(x, x * x - shift)) for x in xs]
-    return ReferenceWallSystem.from_entries(f"hilb{n}", entries)
+    return ReferenceWallSystem(f"hilb{n}", tuple(Wall(x, x * x - shift) for x in xs))

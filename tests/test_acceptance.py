@@ -114,7 +114,7 @@ def test_criterion_06_chamber_location():
     assert locate_model(Wall(Fraction(-4, 3), Fraction(49, 9)), hilb4) == 1
     moved = wall_between(ChernP2(-1, 5, Fraction(-17, 2)), ChernP2(-1, 4, -8))
     assert moved == Wall(Fraction(-1, 2), Fraction(49, 4))
-    assert moved == hilb4.walls[0].wall
+    assert moved == hilb4.walls[0]
     assert moved.radius_sq == Fraction(-9, 2) ** 2 - 8
     _report(6, "chamber indices 6 and 1; transformed wall at center -1/2")
 

@@ -157,6 +157,13 @@ class TestKroneckerPoincare:
         with pytest.raises(DomainError):
             kronecker_poincare(3, (10, 9))
 
+    def test_degree_limit(self):
+        # dimension 100 is the largest accepted: 101 arrows on (1, 1)
+        assert kronecker_poincare(101, (1, 1)) == QPoly((1,) * 101)
+        for m, dv in ((102, (1, 1)), (50, (5, 4)), (1000, (2, 1))):
+            with pytest.raises(DomainError, match="above the limit"):
+                kronecker_poincare(m, dv)
+
 
 class TestBruteForce:
     def test_plane_counts(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from planemoduli.chow import (MONOMIALS, ChowCurveP2, ChowP2, coeff, exp_class,
-                              mul, todd_relative)
+                              todd_relative)
 from planemoduli.errors import DomainError
 
 
@@ -18,18 +18,18 @@ def rand_class(rng, p_free=False):
 class TestMul:
     def test_square_of_one_plus_h(self):
         x = ChowCurveP2(1, 1, 0, 0, 0, 0)
-        assert mul(x, x) == ChowCurveP2(1, 2, 1, 0, 0, 0)
+        assert x * x == ChowCurveP2(1, 2, 1, 0, 0, 0)
 
     def test_todd_times_twisted_line_class(self):
         # (1 + 3/2 h + h^2) (-6 + h - h^2/2) = -6 - 8h - 5h^2
         lhs = todd_relative()
         rhs = ChowCurveP2(-6, 1, Fraction(-1, 2), 0, 0, 0)
-        assert mul(lhs, rhs) == ChowCurveP2(-6, -8, -5, 0, 0, 0)
+        assert lhs * rhs == ChowCurveP2(-6, -8, -5, 0, 0, 0)
 
     def test_p_squared_vanishes(self):
         p = ChowCurveP2(0, 0, 0, 1, 0, 0)
         p_plus_h = ChowCurveP2(0, 1, 0, 1, 0, 0)
-        assert mul(p, p_plus_h) == ChowCurveP2(0, 0, 0, 0, 1, 0)
+        assert p * p_plus_h == ChowCurveP2(0, 0, 0, 0, 1, 0)
 
     def test_commutative_and_associative(self):
         rng = random.Random(11)
@@ -37,11 +37,6 @@ class TestMul:
             x, y, z = (rand_class(rng) for _ in range(3))
             assert x * y == y * x
             assert (x * y) * z == x * (y * z)
-
-    def test_operator_matches_function(self):
-        rng = random.Random(12)
-        x, y = rand_class(rng), rand_class(rng)
-        assert x * y == mul(x, y)
 
 
 class TestExpClass:

@@ -57,6 +57,15 @@ class TestExitCodes:
         ["betti", "--space", "kronecker:3:13:12"],
         ["betti", "--space", "gr:200:400"],
         ["walls", "--degree", "300"],
+        ["betti", "--space", "kronecker:50:5:4"],
+        ["betti", "--space", "kronecker:1000:2:1"],
+        # exponent notation would build the huge integer before any check
+        ["betti", "--space", "M6", "--at", "1e400"],
+        ["betti", "--space", "M6", "--at", "1e3000000"],
+        ["euler", "--v", "1,0,1e3000000", "--w", "1,0,0", "--pairing", "hom"],
+        # results above Python's 4300-digit int-to-str limit
+        ["betti", "--space", "gr:2:3000", "--at", "10"],
+        ["nef", "--degree", "1" + "0" * 1500],
     ])
     def test_unbounded_work_rejected_up_front(self, capsys, argv):
         code, out, err = run_capture(capsys, argv)
@@ -231,3 +240,177 @@ class TestSvg:
                                             "--svg", "/nonexistent/dir/out.svg"])
         assert code == 2
         assert "error" in err
+
+
+# Expected stdout of every subcommand in text and --json mode, byte for
+# byte: the CLI bytes are part of the interface.
+GOLDEN = [
+    (['walls', '--degree', '6'],
+     'center  radius_sq  destabilizer  status     divisor\n'
+     '-4/3    64/9       1,2,0         actual     16A + L\n'
+     '-4/3    61/9       1,3,-3/2      potential  -\n'
+     '-4/3    49/9       1,1,1/2       actual     11A + L\n'
+     '-4/3    46/9       1,2,-1        actual     10A + L\n'
+     '-4/3    43/9       1,3,-5/2      potential  -\n'
+     '-4/3    31/9       1,1,-1/2      actual     5A + L\n'
+     '-4/3    28/9       1,2,-2        actual     4A + L\n'
+     '-4/3    25/9       1,3,-7/2      actual     3A + L\n'
+     '-4/3    16/9       1,0,0         actual     L\n'),
+    (['walls', '--degree', '6', '--json'],
+     '{"degree": 6, "walls": [{"center": "-4/3", "radius_sq": "64/9", '
+     '"destabilizer": "1,2,0", "actual": true, "divisor": {"a": "16", '
+     '"l": "1"}}, {"center": "-4/3", "radius_sq": "61/9", '
+     '"destabilizer": "1,3,-3/2", "actual": false, "divisor": null}, '
+     '{"center": "-4/3", "radius_sq": "49/9", '
+     '"destabilizer": "1,1,1/2", "actual": true, "divisor": {"a": "11", '
+     '"l": "1"}}, {"center": "-4/3", "radius_sq": "46/9", '
+     '"destabilizer": "1,2,-1", "actual": true, "divisor": {"a": "10", '
+     '"l": "1"}}, {"center": "-4/3", "radius_sq": "43/9", '
+     '"destabilizer": "1,3,-5/2", "actual": false, "divisor": null}, '
+     '{"center": "-4/3", "radius_sq": "31/9", '
+     '"destabilizer": "1,1,-1/2", "actual": true, "divisor": {"a": "5", '
+     '"l": "1"}}, {"center": "-4/3", "radius_sq": "28/9", '
+     '"destabilizer": "1,2,-2", "actual": true, "divisor": {"a": "4", '
+     '"l": "1"}}, {"center": "-4/3", "radius_sq": "25/9", '
+     '"destabilizer": "1,3,-7/2", "actual": true, "divisor": {"a": "3", '
+     '"l": "1"}}, {"center": "-4/3", "radius_sq": "16/9", '
+     '"destabilizer": "1,0,0", "actual": true, "divisor": {"a": "0", '
+     '"l": "1"}}]}\n'),
+    (['nef', '--degree', '6'],
+     'A, 16A + L\n'),
+    (['nef', '--degree', '6', '--json'],
+     '{"A": {"a": "1", "l": "0"}, "B": {"a": "16", "l": "1"}}\n'),
+    (['nef', '--degree', '7'],
+     'A, 33A + L\n'),
+    (['nef', '--degree', '7', '--json'],
+     '{"A": {"a": "1", "l": "0"}, "B": {"a": "33", "l": "1"}}\n'),
+    (['effective', '--degree', '6'],
+     'A, L\n'),
+    (['effective', '--degree', '6', '--json'],
+     '{"A": {"a": "1", "l": "0"}, "L": {"a": "0", "l": "1"}}\n'),
+    (['divisor', '--degree', '6', '--destabilizer', '1,3,-7/2'],
+     '3A + L\n'),
+    (['divisor', '--degree', '6', '--destabilizer', '1,3,-7/2', '--json'],
+     '{"a": "3", "l": "1"}\n'),
+    (['divisor', '--degree', '6', '--destabilizer', '-1,1,1/2'],
+     '-11A + L\n'),
+    (['divisor', '--degree', '6', '--destabilizer', '-1,1,1/2', '--json'],
+     '{"a": "-11", "l": "1"}\n'),
+    (['intersect', '--family', 'evenwall', '--degree', '6', '--w', '-6,1,-1/2'],
+     '-21\n'),
+    (['intersect', '--family', 'evenwall', '--degree', '6', '--w', '-6,1,-1/2', '--json'],
+     '{"family": "evenwall", "degree": 6, "w": "-6,1,-1/2", "value": "-21"}\n'),
+    (['euler', '--v', '1,-3,9/2', '--w', '1,3,-7/2', '--pairing', 'hom'],
+     '20\n'),
+    (['euler', '--v', '1,-3,9/2', '--w', '1,3,-7/2', '--pairing', 'hom', '--json'],
+     '{"pairing": "hom", "v": "1,-3,9/2", "w": "1,3,-7/2", "value": "20"}\n'),
+    (['betti', '--space', 'M6'],
+     '1 + 2*q + 6*q^2 + 13*q^3 + 29*q^4 + 54*q^5 + 101*q^6 + 169*q^7 '
+     '+ 273*q^8 + 401*q^9 + 547*q^10 + 675*q^11 + 779*q^12 + 847*q^13 '
+     '+ 894*q^14 + 919*q^15 + 935*q^16 + 942*q^17 + 945*q^18 + 945*q^19 '
+     '+ 942*q^20 + 935*q^21 + 919*q^22 + 894*q^23 + 847*q^24 + 779*q^25 '
+     '+ 675*q^26 + 547*q^27 + 401*q^28 + 273*q^29 + 169*q^30 + 101*q^31 '
+     '+ 54*q^32 + 29*q^33 + 13*q^34 + 6*q^35 + 2*q^36 + q^37\n'),
+    (['betti', '--space', 'M6', '--json'],
+     '{"space": "M6", "coefficients": ["1", "2", "6", "13", "29", "54", '
+     '"101", "169", "273", "401", "547", "675", "779", "847", "894", '
+     '"919", "935", "942", "945", "945", "942", "935", "919", "894", '
+     '"847", "779", "675", "547", "401", "273", "169", "101", "54", '
+     '"29", "13", "6", "2", "1"], "degree": 37, "euler": "17064"}\n'),
+    (['betti', '--space', 'M6', '--at', '1/2'],
+     '2012329991637/137438953472\n'),
+    (['betti', '--space', 'M6', '--at', '1/2', '--json'],
+     '{"space": "M6", "coefficients": ["1", "2", "6", "13", "29", "54", '
+     '"101", "169", "273", "401", "547", "675", "779", "847", "894", '
+     '"919", "935", "942", "945", "945", "942", "935", "919", "894", '
+     '"847", "779", "675", "547", "401", "273", "169", "101", "54", '
+     '"29", "13", "6", "2", "1"], "degree": 37, "euler": "17064", '
+     '"at": "1/2", "value": "2012329991637/137438953472"}\n'),
+    (['betti', '--space', 'N6'],
+     '1 + q + 3*q^2 + 5*q^3 + 10*q^4 + 14*q^5 + 23*q^6 + 30*q^7 '
+     '+ 41*q^8 + 46*q^9 + 51*q^10 + 46*q^11 + 41*q^12 + 30*q^13 '
+     '+ 23*q^14 + 14*q^15 + 10*q^16 + 5*q^17 + 3*q^18 + q^19 + q^20\n'),
+    (['betti', '--space', 'N6', '--json'],
+     '{"space": "N6", "coefficients": ["1", "1", "3", "5", "10", "14", '
+     '"23", "30", "41", "46", "51", "46", "41", "30", "23", "14", "10", '
+     '"5", "3", "1", "1"], "degree": 20, "euler": "399"}\n'),
+    (['betti', '--space', 'N6', '--at', '1/2'],
+     '5105751/1048576\n'),
+    (['betti', '--space', 'N6', '--at', '1/2', '--json'],
+     '{"space": "N6", "coefficients": ["1", "1", "3", "5", "10", "14", '
+     '"23", "30", "41", "46", "51", "46", "41", "30", "23", "14", "10", '
+     '"5", "3", "1", "1"], "degree": 20, "euler": "399", "at": "1/2", '
+     '"value": "5105751/1048576"}\n'),
+    (['betti', '--space', 'Q6'],
+     '1 + 2*q + 5*q^2 + 10*q^3 + 20*q^4 + 34*q^5 + 57*q^6 + 87*q^7 '
+     '+ 128*q^8 + 174*q^9 + 225*q^10 + 271*q^11 + 312*q^12 + 342*q^13 '
+     '+ 365*q^14 + 379*q^15 + 389*q^16 + 394*q^17 + 396*q^18 + 396*q^19 '
+     '+ 394*q^20 + 389*q^21 + 379*q^22 + 365*q^23 + 342*q^24 + 312*q^25 '
+     '+ 271*q^26 + 225*q^27 + 174*q^28 + 128*q^29 + 87*q^30 + 57*q^31 '
+     '+ 34*q^32 + 20*q^33 + 10*q^34 + 5*q^35 + 2*q^36 + q^37\n'),
+    (['betti', '--space', 'Q6', '--json'],
+     '{"space": "Q6", "coefficients": ["1", "2", "5", "10", "20", "34", '
+     '"57", "87", "128", "174", "225", "271", "312", "342", "365", '
+     '"379", "389", "394", "396", "396", "394", "389", "379", "365", '
+     '"342", "312", "271", "225", "174", "128", "87", "57", "34", "20", '
+     '"10", "5", "2", "1"], "degree": 37, "euler": "7182"}\n'),
+    (['betti', '--space', 'Q6', '--at', '1/2'],
+     '1338436884393/137438953472\n'),
+    (['betti', '--space', 'Q6', '--at', '1/2', '--json'],
+     '{"space": "Q6", "coefficients": ["1", "2", "5", "10", "20", "34", '
+     '"57", "87", "128", "174", "225", "271", "312", "342", "365", '
+     '"379", "389", "394", "396", "396", "394", "389", "379", "365", '
+     '"342", "312", "271", "225", "174", "128", "87", "57", "34", "20", '
+     '"10", "5", "2", "1"], "degree": 37, "euler": "7182", "at": "1/2", '
+     '"value": "1338436884393/137438953472"}\n'),
+    (['betti', '--space', 'hilb:8:6'],
+     '1 + 2*q + 4*q^2 + 5*q^3 + 7*q^4 + 8*q^5 + 10*q^6 + 11*q^7 '
+     '+ 12*q^8 + 11*q^9 + 10*q^10 + 8*q^11 + 7*q^12 + 5*q^13 + 4*q^14 '
+     '+ 2*q^15 + q^16\n'),
+    (['betti', '--space', 'hilb:8:6', '--json'],
+     '{"space": "hilb:8:6", "coefficients": ["1", "2", "4", "5", "7", '
+     '"8", "10", "11", "12", "11", "10", "8", "7", "5", "4", "2", "1"], '
+     '"degree": 16, "euler": "108"}\n'),
+    (['betti', '--space', 'hilb:8:6', '--at', '1/2'],
+     '304045/65536\n'),
+    (['betti', '--space', 'hilb:8:6', '--at', '1/2', '--json'],
+     '{"space": "hilb:8:6", "coefficients": ["1", "2", "4", "5", "7", '
+     '"8", "10", "11", "12", "11", "10", "8", "7", "5", "4", "2", "1"], '
+     '"degree": 16, "euler": "108", "at": "1/2", '
+     '"value": "304045/65536"}\n'),
+    (['betti', '--space', 'kronecker:3:5:4'],
+     '1 + q + 3*q^2 + 5*q^3 + 10*q^4 + 14*q^5 + 23*q^6 + 30*q^7 '
+     '+ 41*q^8 + 46*q^9 + 51*q^10 + 46*q^11 + 41*q^12 + 30*q^13 '
+     '+ 23*q^14 + 14*q^15 + 10*q^16 + 5*q^17 + 3*q^18 + q^19 + q^20\n'),
+    (['betti', '--space', 'kronecker:3:5:4', '--json'],
+     '{"space": "kronecker:3:5:4", "coefficients": ["1", "1", "3", "5", '
+     '"10", "14", "23", "30", "41", "46", "51", "46", "41", "30", "23", '
+     '"14", "10", "5", "3", "1", "1"], "degree": 20, "euler": "399"}\n'),
+    (['betti', '--space', 'kronecker:3:5:4', '--at', '1/2'],
+     '5105751/1048576\n'),
+    (['betti', '--space', 'kronecker:3:5:4', '--at', '1/2', '--json'],
+     '{"space": "kronecker:3:5:4", "coefficients": ["1", "1", "3", "5", '
+     '"10", "14", "23", "30", "41", "46", "51", "46", "41", "30", "23", '
+     '"14", "10", "5", "3", "1", "1"], "degree": 20, "euler": "399", '
+     '"at": "1/2", "value": "5105751/1048576"}\n'),
+    (['betti', '--space', 'gr:2:9'],
+     '1 + q + 2*q^2 + 2*q^3 + 3*q^4 + 3*q^5 + 4*q^6 + 4*q^7 + 4*q^8 '
+     '+ 3*q^9 + 3*q^10 + 2*q^11 + 2*q^12 + q^13 + q^14\n'),
+    (['betti', '--space', 'gr:2:9', '--json'],
+     '{"space": "gr:2:9", "coefficients": ["1", "1", "2", "2", "3", '
+     '"3", "4", "4", "4", "3", "3", "2", "2", "1", "1"], "degree": 14, '
+     '"euler": "36"}\n'),
+    (['betti', '--space', 'gr:2:9', '--at', '1/2'],
+     '43435/16384\n'),
+    (['betti', '--space', 'gr:2:9', '--at', '1/2', '--json'],
+     '{"space": "gr:2:9", "coefficients": ["1", "1", "2", "2", "3", '
+     '"3", "4", "4", "4", "3", "3", "2", "2", "1", "1"], "degree": 14, '
+     '"euler": "36", "at": "1/2", "value": "43435/16384"}\n'),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv, expected", GOLDEN,
+                             ids=[" ".join(argv) for argv, _ in GOLDEN])
+    def test_stdout(self, capsys, argv, expected):
+        assert run_capture(capsys, argv)[:2] == (0, expected)

@@ -25,12 +25,16 @@ class TestRational:
         assert format_rational(7) == "7"
         assert parse_rational("-7/2") == Fraction(-7, 2)
         assert parse_rational("5") == 5
+        assert parse_rational("0.5") == Fraction(1, 2)
 
     def test_parse_rejects_junk(self):
         with pytest.raises(DomainError):
             parse_rational("one half")
         with pytest.raises(DomainError):
             parse_rational("1/0")
+        for text in ("1e400", "2.5E-3", "1e3000000"):
+            with pytest.raises(DomainError, match="exponent notation"):
+                parse_rational(text)
 
 
 class TestQPoly:

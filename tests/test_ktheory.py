@@ -52,6 +52,8 @@ class TestConstructors:
             parse_chern("1,3")
         with pytest.raises(DomainError):
             parse_chern("1,x,0")
+        with pytest.raises(DomainError):
+            parse_chern("1,0,1e3000000")
 
 
 class TestTransforms:
@@ -161,6 +163,12 @@ class TestHilbertPolynomial:
         assert (h.quadratic, h.linear, h.constant) == \
             (Fraction(1, 2), Fraction(3, 2), 1)
         assert h(3) == 10  # h^0 of O(3)
+        assert str(h) == "1/2*m^2 + 3/2*m + 1"
+
+    def test_str_signs_and_zero(self):
+        assert str(hilbert_polynomial(ChernP2(-2, 1, Fraction(-1, 2)))) == \
+            "-m^2 - 2*m - 1"
+        assert str(hilbert_polynomial(ChernP2(0, 0, 0))) == "0"
 
     def test_twist_shifts_argument(self):
         rng = random.Random(47)

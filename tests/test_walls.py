@@ -113,18 +113,17 @@ class TestReferenceSystems:
         refs = abch_reference_walls(8)
         assert refs.label == "hilb8"
         assert len(refs.walls) == 7
-        xs = [t.x for t in refs.walls]
-        assert xs[0] == Fraction(-17, 2)
-        for t in refs.walls:
-            assert t.wall.radius_sq == t.x * t.x - 16
-        radii = [t.wall.radius_sq for t in refs.walls]
+        assert refs.walls[0].center == Fraction(-17, 2)
+        for w in refs.walls:
+            assert w.radius_sq == w.center * w.center - 16
+        radii = [w.radius_sq for w in refs.walls]
         assert radii == sorted(radii, reverse=True)
 
     def test_hilb4_data(self):
         refs = abch_reference_walls(4)
         assert len(refs.walls) == 3
-        for t in refs.walls:
-            assert t.wall.radius_sq == t.x * t.x - 8
+        for w in refs.walls:
+            assert w.radius_sq == w.center * w.center - 8
 
     def test_unsupported_size(self):
         with pytest.raises(DomainError):
@@ -134,16 +133,12 @@ class TestReferenceSystems:
 class TestTransformWalls:
     def test_twist_moves_centers(self):
         refs = transform_walls(abch_reference_walls(8), "twist", 3)
-        collapsing = refs.walls[-1]
-        assert collapsing.x == Fraction(-25, 6)
-        assert collapsing.wall == Wall(Fraction(-25, 6) + 3, Fraction(49, 36))
+        assert refs.walls[-1] == Wall(Fraction(-25, 6) + 3, Fraction(49, 36))
 
     def test_dual_then_twist(self):
         refs = transform_walls(transform_walls(abch_reference_walls(4), "dual"),
                                "twist", -5)
-        outer = refs.walls[0]
-        assert outer.x == Fraction(-9, 2)
-        assert outer.wall == Wall(Fraction(-1, 2), Fraction(49, 4))
+        assert refs.walls[0] == Wall(Fraction(-1, 2), Fraction(49, 4))
 
     def test_twist_zero_is_identity(self):
         refs = abch_reference_walls(8)
@@ -170,7 +165,7 @@ class TestLocateModel:
 
     def test_top_point_on_reference_is_ambiguous(self):
         refs = abch_reference_walls(8)
-        on_wall = Wall(refs.walls[0].wall.center, refs.walls[0].wall.radius_sq)
+        on_wall = Wall(refs.walls[0].center, refs.walls[0].radius_sq)
         with pytest.raises(AmbiguousChamberError):
             locate_model(on_wall, refs)
 
