@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,28 @@ from planemoduli.ktheory import ChernP2, point
 from oracles import (M6_EXT_DIMS, M6_FACTOR_COEFFICIENTS, M6_TABLE,
                      N6_COEFFICIENTS, hilb_fixed_point_poincare,
                      partition_triple_count)
+
+
+#: (degree, Euler characteristic) of N(3; e, f) for every shape that
+#: kronecker_poincare accepts with 3 arrows: coprime, e + f <= 17,
+#: dimension 0..100
+THREE_ARROW_SHAPES = {
+    (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (2, 3), (1, 2): (2, 3),
+    (2, 1): (2, 3), (1, 3): (0, 1), (3, 1): (0, 1), (2, 3): (6, 13),
+    (3, 2): (6, 13), (2, 5): (2, 3), (3, 4): (12, 68), (4, 3): (12, 68),
+    (5, 2): (2, 3), (3, 5): (12, 68), (5, 3): (12, 68), (4, 5): (20, 399),
+    (5, 4): (20, 399), (3, 7): (6, 13), (7, 3): (6, 13), (3, 8): (0, 1),
+    (4, 7): (20, 399), (5, 6): (30, 2530), (6, 5): (30, 2530),
+    (7, 4): (20, 399), (8, 3): (0, 1), (5, 7): (32, 4242), (7, 5): (32, 4242),
+    (4, 9): (12, 68), (5, 8): (32, 4242), (6, 7): (42, 16965),
+    (7, 6): (42, 16965), (8, 5): (32, 4242), (9, 4): (12, 68),
+    (5, 9): (30, 2530), (9, 5): (30, 2530), (7, 8): (56, 118668),
+    (8, 7): (56, 118668), (5, 11): (20, 399), (7, 9): (60, 270662),
+    (9, 7): (60, 270662), (11, 5): (20, 399), (5, 12): (12, 68),
+    (6, 11): (42, 16965), (7, 10): (62, 379032), (8, 9): (72, 857956),
+    (9, 8): (72, 857956), (10, 7): (62, 379032), (11, 6): (42, 16965),
+    (12, 5): (12, 68),
+}
 
 
 class TestHilbPoincare:
@@ -156,6 +179,22 @@ class TestKroneckerPoincare:
     def test_size_limit(self):
         with pytest.raises(DomainError):
             kronecker_poincare(3, (10, 9))
+
+    def test_negative_dimension_rejected(self):
+        # 3 * 4 * 1 - 16 - 1 + 1 = -4: empty, rejected before any counting
+        with pytest.raises(DomainError, match="negative"):
+            kronecker_poincare(3, (4, 1))
+
+    def test_every_accepted_three_arrow_shape(self):
+        accepted = {(e, s - e) for s in range(1, 18) for e in range(s + 1)
+                    if math.gcd(e, s - e) == 1
+                    and 0 <= 3 * e * (s - e) - e * e - (s - e) ** 2 + 1 <= 100}
+        assert set(THREE_ARROW_SHAPES) == accepted
+        for dv, (degree, euler) in THREE_ARROW_SHAPES.items():
+            poly = kronecker_poincare(3, dv)
+            assert (poly.degree, poly(1)) == (degree, euler)
+            assert is_palindromic(poly)
+            assert all(c >= 0 for c in poly.coefficients)
 
     def test_degree_limit(self):
         # dimension 100 is the largest accepted: 101 arrows on (1, 1)

@@ -66,6 +66,9 @@ class TestExitCodes:
         # results above Python's 4300-digit int-to-str limit
         ["betti", "--space", "gr:2:3000", "--at", "10"],
         ["nef", "--degree", "1" + "0" * 1500],
+        # negative moduli dimension: empty, rejected before any counting
+        ["betti", "--space", "kronecker:1:9:8"],
+        ["betti", "--space", "kronecker:3:4:1"],
     ])
     def test_unbounded_work_rejected_up_front(self, capsys, argv):
         code, out, err = run_capture(capsys, argv)
