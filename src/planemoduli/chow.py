@@ -114,11 +114,11 @@ class ChowCurveP2:
                 f"{self.ap} p + {self.aph} p h + {self.aph2} p h^2")
 
 
-#: basis-element tags accepted by coeff()
-MONOMIALS = ("1", "h", "h2", "p", "ph", "ph2")
-
 _FIELD_BY_TAG = {"1": "a1", "h": "ah", "h2": "ah2",
                  "p": "ap", "ph": "aph", "ph2": "aph2"}
+
+#: basis-element tags accepted by coeff()
+MONOMIALS = tuple(_FIELD_BY_TAG)
 
 
 def exp_class(alpha: Scalar, beta: Scalar) -> ChowCurveP2:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import betti, divisors, ktheory, walls
 from .errors import PlaneModuliError
-from .exactmath import QPoly, grassmannian_poincare, parse_rational
+from .exactmath import QPoly, grassmannian_poincare, parse_int, parse_rational
 from .ktheory import parse_chern
 from .walls import Wall
 
@@ -35,6 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+_FAMILY_BY_FLAG = {"pencil": "pencil", "jacobian": "jacobian",
+                   "evenwall": "even_wall", "oddwall": "odd_wall"}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="planemoduli",
                      description="Exact wall-crossing computations for moduli "
@@ -42,25 +46,25 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_walls = sub.add_parser("walls", help="potential and actual walls for a degree")
-    p_walls.add_argument("--degree", type=int, required=True)
+    p_walls.add_argument("--degree", type=parse_int, required=True)
     p_walls.add_argument("--json", action="store_true")
     p_walls.add_argument("--svg", metavar="FILE")
 
     for name in ("nef", "effective"):
         p = sub.add_parser(name, help=f"{name} cone generators")
-        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--degree", type=parse_int, required=True)
         p.add_argument("--json", action="store_true")
 
     p_div = sub.add_parser("divisor", help="wall divisor for a destabilizer")
-    p_div.add_argument("--degree", type=int, required=True)
+    p_div.add_argument("--degree", type=parse_int, required=True)
     p_div.add_argument("--destabilizer", required=True, metavar="r,c,e")
     p_div.add_argument("--json", action="store_true")
 
     p_int = sub.add_parser("intersect", help="intersection degree of a divisor "
                                              "class with a test family")
     p_int.add_argument("--family", required=True,
-                       choices=["pencil", "jacobian", "evenwall", "oddwall"])
-    p_int.add_argument("--degree", type=int, required=True)
+                       choices=list(_FAMILY_BY_FLAG))
+    p_int.add_argument("--degree", type=parse_int, required=True)
     p_int.add_argument("--w", required=True, metavar="r,c,e")
     p_int.add_argument("--json", action="store_true")
 
@@ -148,10 +152,6 @@ def _cmd_divisor(args) -> int:
     return 0
 
 
-_FAMILY_BY_FLAG = {"pencil": "pencil", "jacobian": "jacobian",
-                   "evenwall": "even_wall", "oddwall": "odd_wall"}
-
-
 def _cmd_intersect(args) -> int:
     family = divisors.family_class(_FAMILY_BY_FLAG[args.family], args.degree)
     value = divisors.intersection_degree(family, parse_chern(args.w))
@@ -184,7 +184,7 @@ def _space_poly(spec: str) -> QPoly:
         return betti.q6_poincare()
     head, *rest = spec.split(":")
     try:
-        nums = [int(s) for s in rest]
+        nums = [parse_int(s) for s in rest]
     except ValueError as exc:
         raise _UsageError(f"bad space parameters in {spec!r}") from exc
     if head == "hilb" and len(nums) in (1, 2):

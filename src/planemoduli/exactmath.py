@@ -31,14 +31,22 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
+def parse_int(text: str) -> int:
+    """An optional "-" and ASCII digits; int() also takes "+5", " 7" and other digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den", "num" or a decimal such as "0.5" into an exact rational.
 
-    Exponent notation is rejected: "1e3000000" would build a
-    million-digit integer before anything could check its size.
+    Non-ASCII text (Fraction reads other digits) and exponent notation are
+    rejected: "1e3000000" would build a million-digit integer unchecked.
     """
-    if "e" in text.lower():
-        raise DomainError(f"exponent notation is not accepted: {text!r}")
+    if not text.isascii() or "e" in text.lower():
+        raise DomainError(f"non-ASCII or exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -68,11 +76,6 @@ def _signed_sum(terms: Iterable[tuple[Scalar, str]], times: str = "*") -> str:
         else:
             parts.append(body if coef > 0 else f"-{body}")
     return " ".join(parts) if parts else "0"
-
-
-def format_rational(value: Scalar) -> str:
-    """Render a rational as "num/den", omitting "/den" when it is 1."""
-    return str(Fraction(value))
 
 
 class QPoly:

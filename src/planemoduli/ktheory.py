@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactmath import Scalar, _frac, _signed_sum, parse_rational
+from .exactmath import Scalar, _frac, _signed_sum, parse_int, parse_rational
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def parse_chern(text: str) -> ChernP2:
     if len(parts) != 3:
         raise DomainError(f"expected a Chern character as r,c,e, got {text!r}")
     try:
-        r, c = int(parts[0]), int(parts[1])
+        r, c = parse_int(parts[0]), parse_int(parts[1])
         e = parse_rational(parts[2])
     except ValueError as exc:
         raise DomainError(f"cannot parse Chern character {text!r}") from exc

@@ -3,16 +3,23 @@
 Each oracle recomputes a quantity by a route disjoint from the library
 implementation it checks: the Gaussian binomial by its product formula
 instead of the Pascal recurrence, Hilbert-scheme Betti numbers by counting
-torus-fixed-point cells instead of expanding the generating function, and
+torus-fixed-point cells instead of expanding the generating function,
 Kronecker moduli point counts by plain enumeration with row reduction
-instead of normal forms and preimage bitmasks.
+instead of normal forms and preimage bitmasks, and potential walls by
+stepping through candidates one wall_between call at a time instead of
+the closed-form ranges of the concentric rank-zero walls.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from planemoduli import ktheory
+from planemoduli.divisors import first_wall_destabilizer
+from planemoduli.errors import EmptyWallError
 from planemoduli.exactmath import QPoly
+from planemoduli.ktheory import ChernP2
+from planemoduli.walls import Wall, wall_between
 
 
 def gaussian_binomial_product(k: int, n: int) -> QPoly:
@@ -140,6 +147,33 @@ def kronecker_count_by_enumeration(m: int, e: int, f: int, p: int) -> int:
     numerator = stable * (p - 1)
     assert numerator % order == 0
     return numerator // order
+
+
+def potential_walls_by_search(d: int) -> list[tuple[ChernP2, Wall]]:
+    """Rank-one candidates between the collapsing and first walls, by search.
+
+    For each c it steps e down from c^2/2, builds every candidate and its
+    wall, and stops at an empty wall or one inside the collapsing wall.
+    """
+    v = ktheory.moduli(d)
+    lo = wall_between(v, ktheory.line_bundle(0)).radius_sq
+    hi = wall_between(v, first_wall_destabilizer(d)).radius_sq
+    found: list[tuple[ChernP2, Wall]] = []
+    for c in range(d // 2 + 1):
+        e = Fraction(c * c, 2)
+        while True:
+            cand = ChernP2(1, c, e)
+            try:
+                wall = wall_between(v, cand)
+            except EmptyWallError:
+                break
+            if wall.radius_sq < lo:
+                break
+            if wall.radius_sq <= hi:
+                found.append((cand, wall))
+            e -= 1
+    found.sort(key=lambda cw: (-cw[1].radius_sq, cw[0].c, -cw[0].e))
+    return found
 
 
 # Printed 21-coefficient polynomial of the 3-Kronecker moduli N(3; 5, 4).

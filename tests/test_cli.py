@@ -76,6 +76,19 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, expected", [
+        # integers are an optional "-" and ASCII digits, nothing else
+        (["nef", "--degree", "\uff11\uff12"], 1),
+        (["nef", "--degree", " 7"], 1),
+        (["betti", "--space", "kronecker:4:2:\u0663"], 1),
+        (["divisor", "--degree", "6", "--destabilizer", "\u0661,\u0663,-7/2"], 2),
+        (["betti", "--space", "M6", "--at", "\u0661/\u0662"], 2),
+    ])
+    def test_non_ascii_and_padded_numbers_rejected(self, capsys, argv, expected):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (expected, "")
+        assert "Traceback" not in err
+
 
 class TestTextOutput:
     def test_nef(self, capsys):

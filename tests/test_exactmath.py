@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from planemoduli.errors import DomainError, ExactDivisionError
-from planemoduli.exactmath import (QPoly, format_rational,
-                                   grassmannian_poincare, is_palindromic,
-                                   parse_rational, projective_poincare)
+from planemoduli.exactmath import (QPoly, grassmannian_poincare,
+                                   is_palindromic, parse_int, parse_rational,
+                                   projective_poincare)
 from oracles import N6_COEFFICIENTS, gaussian_binomial_product
 
 
@@ -20,9 +20,6 @@ class TestRational:
             assert a * (b + c) == a * b + a * c
 
     def test_wire_format(self):
-        assert format_rational(Fraction(3, 2)) == "3/2"
-        assert format_rational(Fraction(-4, 2)) == "-2"
-        assert format_rational(7) == "7"
         assert parse_rational("-7/2") == Fraction(-7, 2)
         assert parse_rational("5") == 5
         assert parse_rational("0.5") == Fraction(1, 2)
@@ -35,6 +32,20 @@ class TestRational:
         for text in ("1e400", "2.5E-3", "1e3000000"):
             with pytest.raises(DomainError, match="exponent notation"):
                 parse_rational(text)
+
+    def test_parse_rejects_non_ascii(self):
+        for text in ("\u0661/\u0662", "\uff17", "1/\u0662"):
+            with pytest.raises(DomainError, match="ASCII"):
+                parse_rational(text)
+
+    def test_parse_int_accepts_only_ascii_digits(self):
+        assert parse_int("0") == 0
+        assert parse_int("-12") == -12
+        assert parse_int("007") == 7
+        for text in ("", "-", "+5", " 7", "7 ", "1_000", "\uff11\uff12",
+                     "\u0663", "-\u0663", "1.0", "0x10", "--1"):
+            with pytest.raises(ValueError):
+                parse_int(text)
 
 
 class TestQPoly:

@@ -55,6 +55,13 @@ class TestConstructors:
         with pytest.raises(DomainError):
             parse_chern("1,0,1e3000000")
 
+    def test_parse_ascii_fields(self):
+        assert parse_chern(" -1 , 3 , -7/2 ") == ChernP2(-1, 3, Fraction(-7, 2))
+        for text in ("\u0661,3,-7/2", "1,\u0663,-7/2", "1,3,-\u0667/2",
+                     "+1,3,-7/2", "1,+3,-7/2"):
+            with pytest.raises(DomainError):
+                parse_chern(text)
+
 
 class TestTransforms:
     def test_shift_of_line_bundle(self):

@@ -9,6 +9,7 @@ from planemoduli.ktheory import ChernP2, dual, line_bundle, moduli, shift, twist
 from planemoduli.walls import (Wall, abch_reference_walls,
                                enumerate_potential_walls, locate_model,
                                transform_walls, wall_between)
+from oracles import potential_walls_by_search
 
 
 def rand_chern(rng) -> ChernP2:
@@ -98,6 +99,10 @@ class TestEnumeratePotentialWalls:
                 assert wall.center == center
                 assert wall.radius_sq == (center ** 2 + 2 * cand.e
                                           + Fraction(cand.c * (3 * d - 2), d))
+
+    @pytest.mark.parametrize("d", [*range(3, 31), 60])
+    def test_matches_stepping_search(self, d):
+        assert enumerate_potential_walls(d) == potential_walls_by_search(d)
 
     def test_degree_too_small(self):
         with pytest.raises(DomainError):
