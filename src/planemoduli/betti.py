@@ -25,14 +25,13 @@ with exceptional-bundle ranks given by Euler pairings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 from . import ktheory
 from .errors import ConventionError, DomainError
-from .exactmath import QPoly, grassmannian_poincare, projective_poincare
+from .exactmath import QPoly, _Value, grassmannian_poincare, projective_poincare
 from .ktheory import ChernP2, euler_hom
 
 MAX_HILB_POINTS = 12
@@ -106,11 +105,8 @@ MAX_KRONECKER_SIZE = 17
 MAX_KRONECKER_DEGREE = 100
 
 
-class DimVector(NamedTuple):
-    """Dimension vector (e, f) of a quiver representation."""
-
-    e: int
-    f: int
+DimVector = namedtuple("DimVector", ("e", "f"))
+DimVector.__doc__ = """Dimension vector (e, f) of a quiver representation."""
 
 
 def _as_dimvector(dv: "DimVector | tuple[int, int]") -> DimVector:
@@ -297,52 +293,40 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
 # ---------------------------------------------------------------------------
 # Wall-crossing assembly
 
-class SpaceDescriptor:
+class SpaceDescriptor(_Value):
     """Marker base class for the space algebra below."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Projective(SpaceDescriptor):
-    n: int
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
 class Grassmannian(SpaceDescriptor):
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
 
-@dataclass(frozen=True)
 class Hilb(SpaceDescriptor):
-    n: int
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
 class HilbModel(SpaceDescriptor):
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
 
-@dataclass(frozen=True)
 class KroneckerModuli(SpaceDescriptor):
-    m: int
-    e: int
-    f: int
+    __slots__ = ("m", "e", "f")
 
 
-@dataclass(frozen=True)
 class Product(SpaceDescriptor):
-    factors: tuple[SpaceDescriptor, ...]
+    __slots__ = ("factors",)
 
 
-@dataclass(frozen=True)
 class Bundle(SpaceDescriptor):
     """A fiber bundle with rational fiber: Poincare polynomials multiply."""
 
-    fiber: SpaceDescriptor
-    base: SpaceDescriptor
+    __slots__ = ("fiber", "base")
 
 
 def space_poincare(sd: SpaceDescriptor) -> QPoly:
@@ -369,13 +353,10 @@ def space_poincare(sd: SpaceDescriptor) -> QPoly:
             raise DomainError(f"unsupported space descriptor {sd!r}")
 
 
-@dataclass(frozen=True)
-class WallRecord:
+class WallRecord(_Value):
     """An actual wall: its destabilizer and the base of the flipped locus."""
 
-    label: str
-    destabilizer: ChernP2
-    base: SpaceDescriptor
+    __slots__ = ("label", "destabilizer", "base")
 
 
 def ext_dims_at_wall(d: int, destab: ChernP2) -> tuple[int, int]:

@@ -12,25 +12,19 @@ Riemann-Roch computation downstream is simply the coefficient of p h^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactmath import Scalar, _frac
+from .exactmath import Scalar, _frac, _Value
 
 
-@dataclass(frozen=True)
-class ChowP2:
+class ChowP2(_Value):
     """A class c0 + c1*h + c2*h^2 on the plane, truncated at h^3 = 0."""
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    __slots__ = ("c0", "c1", "c2")
 
     def __init__(self, c0: Scalar = 0, c1: Scalar = 0, c2: Scalar = 0):
-        object.__setattr__(self, "c0", _frac(c0))
-        object.__setattr__(self, "c1", _frac(c1))
-        object.__setattr__(self, "c2", _frac(c2))
+        super().__init__(_frac(c0), _frac(c1), _frac(c2))
 
     def __add__(self, other: "ChowP2") -> "ChowP2":
         return ChowP2(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
@@ -58,22 +52,15 @@ class ChowP2:
         return ChowCurveP2(self.c0, self.c1, self.c2, 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class ChowCurveP2:
+class ChowCurveP2(_Value):
     """A class on (parameter curve) x plane on the basis {1, h, h^2, p, ph, ph^2}."""
 
-    a1: Fraction
-    ah: Fraction
-    ah2: Fraction
-    ap: Fraction
-    aph: Fraction
-    aph2: Fraction
+    __slots__ = ("a1", "ah", "ah2", "ap", "aph", "aph2")
 
     def __init__(self, a1: Scalar = 0, ah: Scalar = 0, ah2: Scalar = 0,
                  ap: Scalar = 0, aph: Scalar = 0, aph2: Scalar = 0):
-        for name, value in (("a1", a1), ("ah", ah), ("ah2", ah2),
-                            ("ap", ap), ("aph", aph), ("aph2", aph2)):
-            object.__setattr__(self, name, _frac(value))
+        super().__init__(_frac(a1), _frac(ah), _frac(ah2),
+                         _frac(ap), _frac(aph), _frac(aph2))
 
     @classmethod
     def from_parts(cls, plane: ChowP2, p_part: ChowP2) -> "ChowCurveP2":

@@ -154,10 +154,11 @@ def _cmd_divisor(args) -> int:
 
 def _cmd_intersect(args) -> int:
     family = divisors.family_class(_FAMILY_BY_FLAG[args.family], args.degree)
-    value = divisors.intersection_degree(family, parse_chern(args.w))
+    w = parse_chern(args.w)
+    value = divisors.intersection_degree(family, w)
     if args.json:
         _print_json({"family": args.family, "degree": args.degree,
-                     "w": args.w, "value": str(value)})
+                     "w": str(w), "value": str(value)})
     else:
         print(str(value))
     return 0
@@ -168,7 +169,7 @@ def _cmd_euler(args) -> int:
     pairing = ktheory.euler_product if args.pairing == "product" else ktheory.euler_hom
     value = pairing(v, w)
     if args.json:
-        _print_json({"pairing": args.pairing, "v": args.v, "w": args.w,
+        _print_json({"pairing": args.pairing, "v": str(v), "w": str(w),
                      "value": str(value)})
     else:
         print(str(value))

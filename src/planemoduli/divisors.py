@@ -18,26 +18,22 @@ on the parameter curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chow, ktheory
 from .chow import ChowCurveP2
 from .errors import ConventionError, DomainError
-from .exactmath import Scalar, _frac, _signed_sum
+from .exactmath import Scalar, _frac, _signed_sum, _Value
 from .ktheory import ChernP2
 
 
-@dataclass(frozen=True)
-class DivisorAL:
+class DivisorAL(_Value):
     """A divisor class a*A + l*L on the moduli space."""
 
-    a: Fraction
-    l: Fraction
+    __slots__ = ("a", "l")
 
     def __init__(self, a: Scalar, l: Scalar):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "l", _frac(l))
+        super().__init__(_frac(a), _frac(l))
 
     def __add__(self, other: "DivisorAL") -> "DivisorAL":
         return DivisorAL(self.a + other.a, self.l + other.l)
@@ -64,13 +60,10 @@ L_DIVISOR = DivisorAL(0, 1)
 FAMILY_KINDS = ("pencil", "jacobian", "even_wall", "odd_wall")
 
 
-@dataclass(frozen=True)
-class FamilyClass:
-    """The Chern character of a one-parameter family of sheaves."""
+class FamilyClass(_Value):
+    """The Chern character (a ChowCurveP2) of a one-parameter family of sheaves."""
 
-    chern: ChowCurveP2
-    label: str
-    degree_d: int
+    __slots__ = ("chern", "label", "degree_d")
 
 
 def genus(d: int) -> int:

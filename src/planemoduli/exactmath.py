@@ -15,28 +15,78 @@ Division of polynomials is only ever exact division: exact_div raises
 ExactDivisionError when a remainder (or a fractional quotient coefficient)
 appears, which downstream modules use as a correctness check rather than
 an inconvenience.
+
+The immutable records of the other modules (Chern characters, walls,
+divisors, Chow classes, space descriptors) derive from the value base _Value.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Union
+from operator import attrgetter
 
 from .errors import DomainError, ExactDivisionError
 
 Rational = Fraction
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
+
+
+class _Value:
+    """An immutable record whose fields are its class's __slots__.
+
+    Equality (only within one class), hashing, repr, match patterns, copy
+    and pickle read the fields in slot order, and every constructor takes
+    them positionally in that order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__match_args__ = cls.__slots__
+        # attrgetter of one name returns the bare value, of none raises
+        cls._astuple = (attrgetter(*fields) if len(fields) > 1 else
+                        staticmethod(lambda v: tuple(getattr(v, f) for f in fields)))
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._astuple(self))
+        return f"{type(self).__qualname__}({', '.join(f'{f}={v!r}' for f, v in pairs)})"
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
 
 
 def parse_int(text: str) -> int:
-    """An optional "-" and ASCII digits; int() also takes "+5", " 7" and other digits."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
+    """An integer spelled as str() spells it: ASCII, no "+", "_", space or leading 0."""
+    value = int(text)
+    if str(value) != text:
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    return value
 
 
 def parse_rational(text: str) -> Fraction:

@@ -14,20 +14,16 @@ Call sites must choose explicitly; nothing in this module guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactmath import Scalar, _frac, _signed_sum, parse_int, parse_rational
+from .exactmath import Scalar, _frac, _signed_sum, _Value, parse_int, parse_rational
 
 
-@dataclass(frozen=True)
-class ChernP2:
+class ChernP2(_Value):
     """Chern character (rank, degree, ch_2) of a class on the plane."""
 
-    r: int
-    c: int
-    e: Fraction
+    __slots__ = ("r", "c", "e")
 
     def __init__(self, r: int, c: int, e: Scalar):
         if not isinstance(r, int) or not isinstance(c, int):
@@ -35,13 +31,11 @@ class ChernP2:
         ee = _frac(e)
         if ee.denominator not in (1, 2):
             raise DomainError(f"2*ch_2 must be an integer, got ch_2 = {ee}")
-        if (ee - Fraction(c * c, 2)).denominator != 1:
+        if ee.denominator != 1 + c % 2:  # ee - c^2/2 is not an integer
             raise DomainError(
                 f"ch_2 - c^2/2 must be an integer (integral second Chern class); "
                 f"got (r, c, e) = ({r}, {c}, {ee})")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "e", ee)
+        super().__init__(r, c, ee)
 
     def __add__(self, other: "ChernP2") -> "ChernP2":
         return ChernP2(self.r + other.r, self.c + other.c, self.e + other.e)
@@ -85,7 +79,7 @@ def ideal_twisted(n: int, k: int) -> ChernP2:
     """ch of the ideal sheaf of n plane points twisted by k: (1, k, k^2/2 - n)."""
     if n < 0:
         raise DomainError("number of points must be nonnegative")
-    return ChernP2(1, k, Fraction(k * k, 2) - n)
+    return ChernP2(1, k, Fraction(k * k - 2 * n, 2))
 
 
 def point() -> ChernP2:
@@ -138,13 +132,10 @@ def euler_hom(v: ChernP2, w: ChernP2) -> Fraction:
             + v.r * w.r)
 
 
-@dataclass(frozen=True)
-class HilbertPolynomial:
+class HilbertPolynomial(_Value):
     """Coefficients of chi(v(m)) as a polynomial in the twist m."""
 
-    quadratic: Fraction
-    linear: Fraction
-    constant: Fraction
+    __slots__ = ("quadratic", "linear", "constant")
 
     def __call__(self, m: int) -> Fraction:
         return self.quadratic * m * m + self.linear * m + self.constant

@@ -11,13 +11,12 @@ exact squared-distance test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ktheory
 from .divisors import first_wall_destabilizer
 from .errors import AmbiguousChamberError, DomainError, EmptyWallError, NoWallError
-from .exactmath import Scalar, _frac
+from .exactmath import Scalar, _frac, _Value
 from .ktheory import ChernP2
 
 
@@ -26,19 +25,16 @@ from .ktheory import ChernP2
 MAX_WALL_DEGREE = 200
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(_Value):
     """A semicircular wall: center (x, 0), squared radius radius_sq > 0."""
 
-    center: Fraction
-    radius_sq: Fraction
+    __slots__ = ("center", "radius_sq")
 
     def __init__(self, center: Scalar, radius_sq: Scalar):
         rsq = _frac(radius_sq)
         if rsq <= 0:
             raise EmptyWallError(f"squared radius must be positive, got {rsq}")
-        object.__setattr__(self, "center", _frac(center))
-        object.__setattr__(self, "radius_sq", rsq)
+        super().__init__(_frac(center), rsq)
 
     def twisted(self, n: int) -> "Wall":
         return Wall(self.center + n, self.radius_sq)
@@ -58,12 +54,10 @@ class Wall:
         return f"wall(center={self.center}, radius_sq={self.radius_sq})"
 
 
-@dataclass(frozen=True)
-class ReferenceWallSystem:
-    """The reference walls of one Hilbert scheme, outermost first."""
+class ReferenceWallSystem(_Value):
+    """The reference walls (a tuple of Wall) of one Hilbert scheme, outermost first."""
 
-    label: str
-    walls: tuple[Wall, ...]
+    __slots__ = ("label", "walls")
 
     def twisted(self, n: int) -> "ReferenceWallSystem":
         return ReferenceWallSystem(

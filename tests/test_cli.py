@@ -83,6 +83,11 @@ class TestExitCodes:
         (["betti", "--space", "kronecker:4:2:\u0663"], 1),
         (["divisor", "--degree", "6", "--destabilizer", "\u0661,\u0663,-7/2"], 2),
         (["betti", "--space", "M6", "--at", "\u0661/\u0662"], 2),
+        # and one spelling each: no leading zero, no "-0"
+        (["betti", "--space", "kronecker:3:02:1", "--json"], 1),
+        (["nef", "--degree", "06"], 1),
+        (["nef", "--degree", "-0"], 1),
+        (["divisor", "--degree", "6", "--destabilizer", "01,3,-7/2"], 2),
     ])
     def test_non_ascii_and_padded_numbers_rejected(self, capsys, argv, expected):
         code, out, err = run_capture(capsys, argv)
@@ -205,6 +210,17 @@ class TestJsonOutput:
                                          "--w", "1,2,0",
                                          "--pairing", "hom", "--json"])
         assert Fraction(json.loads(out)["value"]) == Fraction(-29)
+
+    def test_echo_is_canonical(self, capsys):
+        # the echoed classes are str() of the parsed values, not the argv text
+        _, out, _ = run_capture(capsys, ["euler", "--v", " 1, 0, 0.0", "--w",
+                                         "1,0,0", "--pairing", "hom", "--json"])
+        assert json.loads(out) == {"pairing": "hom", "v": "1,0,0",
+                                   "w": "1,0,0", "value": "1"}
+        _, out, _ = run_capture(capsys, ["intersect", "--family", "pencil",
+                                         "--degree", "6", "--w", " -6, 1, -0.5",
+                                         "--json"])
+        assert json.loads(out)["w"] == "-6,1,-1/2"
 
     def test_effective_json(self, capsys):
         _, out, _ = run_capture(capsys, ["effective", "--degree", "9", "--json"])

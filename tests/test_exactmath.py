@@ -1,12 +1,21 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from planemoduli.betti import (Bundle, DimVector, Grassmannian, Hilb,
+                               HilbModel, KroneckerModuli, Product,
+                               Projective, WallRecord)
+from planemoduli.chow import ChowCurveP2, ChowP2
+from planemoduli.divisors import DivisorAL, FamilyClass
 from planemoduli.errors import DomainError, ExactDivisionError
 from planemoduli.exactmath import (QPoly, grassmannian_poincare,
                                    is_palindromic, parse_int, parse_rational,
                                    projective_poincare)
+from planemoduli.ktheory import ChernP2, HilbertPolynomial
+from planemoduli.walls import ReferenceWallSystem, Wall
 from oracles import N6_COEFFICIENTS, gaussian_binomial_product
 
 
@@ -41,9 +50,8 @@ class TestRational:
     def test_parse_int_accepts_only_ascii_digits(self):
         assert parse_int("0") == 0
         assert parse_int("-12") == -12
-        assert parse_int("007") == 7
         for text in ("", "-", "+5", " 7", "7 ", "1_000", "\uff11\uff12",
-                     "\u0663", "-\u0663", "1.0", "0x10", "--1"):
+                     "\u0663", "-\u0663", "1.0", "0x10", "--1", "007", "-0"):
             with pytest.raises(ValueError):
                 parse_int(text)
 
@@ -178,3 +186,81 @@ class TestIsPalindromic:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             is_palindromic(QPoly())
+
+
+# One value of every record class and its repr, captured when the classes
+# were frozen dataclasses (DimVector a typing.NamedTuple).  Five pairs share
+# their field values across two classes: ChernP2 and KroneckerModuli, Wall
+# and DivisorAL, HilbertPolynomial and ChowP2, Projective and Hilb,
+# Grassmannian and HilbModel.
+VALUES = [
+    (ChernP2(1, 2, 0), "ChernP2(r=1, c=2, e=Fraction(0, 1))"),
+    (HilbertPolynomial(Fraction(1, 2), Fraction(3, 2), Fraction(1)),
+     "HilbertPolynomial(quadratic=Fraction(1, 2), linear=Fraction(3, 2), "
+     "constant=Fraction(1, 1))"),
+    (Wall(16, 1), "Wall(center=Fraction(16, 1), radius_sq=Fraction(1, 1))"),
+    (ReferenceWallSystem("hilb4", (Wall(-3, 1),)),
+     "ReferenceWallSystem(label='hilb4', walls=(Wall(center=Fraction(-3, 1), "
+     "radius_sq=Fraction(1, 1)),))"),
+    (DivisorAL(16, 1), "DivisorAL(a=Fraction(16, 1), l=Fraction(1, 1))"),
+    (FamilyClass(ChowCurveP2(0, 1), "pencil", 6),
+     "FamilyClass(chern=ChowCurveP2(a1=Fraction(0, 1), ah=Fraction(1, 1), "
+     "ah2=Fraction(0, 1), ap=Fraction(0, 1), aph=Fraction(0, 1), "
+     "aph2=Fraction(0, 1)), label='pencil', degree_d=6)"),
+    (ChowP2(Fraction(1, 2), Fraction(3, 2), 1),
+     "ChowP2(c0=Fraction(1, 2), c1=Fraction(3, 2), c2=Fraction(1, 1))"),
+    (ChowCurveP2(1, 0, 0, 0, 0, Fraction(-1, 2)),
+     "ChowCurveP2(a1=Fraction(1, 1), ah=Fraction(0, 1), ah2=Fraction(0, 1), "
+     "ap=Fraction(0, 1), aph=Fraction(0, 1), aph2=Fraction(-1, 2))"),
+    (Projective(2), "Projective(n=2)"),
+    (Grassmannian(2, 9), "Grassmannian(k=2, n=9)"),
+    (Hilb(2), "Hilb(n=2)"),
+    (HilbModel(2, 9), "HilbModel(n=2, k=9)"),
+    (KroneckerModuli(1, 2, 0), "KroneckerModuli(m=1, e=2, f=0)"),
+    (Product((HilbModel(4, 2), Hilb(2))),
+     "Product(factors=(HilbModel(n=4, k=2), Hilb(n=2)))"),
+    (Bundle(Projective(17), KroneckerModuli(3, 5, 4)),
+     "Bundle(fiber=Projective(n=17), base=KroneckerModuli(m=3, e=5, f=4))"),
+    (WallRecord("W5", ChernP2(1, 2, 0), Hilb(2)),
+     "WallRecord(label='W5', destabilizer=ChernP2(r=1, c=2, "
+     "e=Fraction(0, 1)), base=Hilb(n=2))"),
+    (DimVector(1, 2), "DimVector(e=1, f=2)"),
+]
+
+
+class TestValueRecords:
+    @pytest.mark.parametrize("value, text", VALUES,
+                             ids=[type(value).__name__ for value, _ in VALUES])
+    def test_value_semantics(self, value, text):
+        fields = value.__match_args__
+        items = tuple(getattr(value, name) for name in fields)
+        assert repr(value) == text
+        assert all(value != other for other, _ in VALUES if other is not value)
+        # only the named tuple equals the plain tuple of its fields
+        assert (value == items) is isinstance(value, tuple)
+        rebuilt = type(value)(*items)
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == text
+        with pytest.raises(AttributeError):
+            setattr(value, fields[0], items[0])
+        with pytest.raises(AttributeError):
+            delattr(value, fields[0])
+
+    def test_keyword_construction(self):
+        chern, wall = ChowCurveP2(0, 1), Wall(-3, 1)
+        assert (FamilyClass(chern=chern, label="pencil", degree_d=6)
+                == FamilyClass(chern, "pencil", 6))
+        assert (ReferenceWallSystem(label="hilb4", walls=(wall,))
+                == ReferenceWallSystem("hilb4", (wall,)))
+        assert (HilbertPolynomial(quadratic=Fraction(1, 2), linear=Fraction(3, 2),
+                                  constant=Fraction(1))
+                == HilbertPolynomial(Fraction(1, 2), Fraction(3, 2), Fraction(1)))
+        assert (WallRecord("W5", base=Hilb(2), destabilizer=ChernP2(1, 2, 0))
+                == WallRecord("W5", ChernP2(1, 2, 0), Hilb(2)))
+        for bad in ({"label": "W5"}, {"base": Hilb(2), "depth": 1}):
+            with pytest.raises(TypeError):
+                WallRecord("W5", ChernP2(1, 2, 0), **bad)
