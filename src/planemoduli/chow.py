@@ -72,27 +72,34 @@ class ChowCurveP2(_Value):
     def p_part(self) -> ChowP2:
         return ChowP2(self.ap, self.aph, self.aph2)
 
+    # sums, negatives and products of Fractions are Fractions, so the
+    # arithmetic builds its results without the constructor's coercion
     def __add__(self, other: "ChowCurveP2") -> "ChowCurveP2":
-        return ChowCurveP2(self.a1 + other.a1, self.ah + other.ah,
-                           self.ah2 + other.ah2, self.ap + other.ap,
-                           self.aph + other.aph, self.aph2 + other.aph2)
+        return ChowCurveP2._make(self.a1 + other.a1, self.ah + other.ah,
+                                 self.ah2 + other.ah2, self.ap + other.ap,
+                                 self.aph + other.aph, self.aph2 + other.aph2)
 
     def __sub__(self, other: "ChowCurveP2") -> "ChowCurveP2":
         return self + (-other)
 
     def __neg__(self) -> "ChowCurveP2":
-        return ChowCurveP2(-self.a1, -self.ah, -self.ah2,
-                           -self.ap, -self.aph, -self.aph2)
+        return ChowCurveP2._make(-self.a1, -self.ah, -self.ah2,
+                                 -self.ap, -self.aph, -self.aph2)
 
     def __mul__(self, other: "ChowCurveP2 | int | Fraction") -> "ChowCurveP2":
         if isinstance(other, (int, Fraction)):
             s = _frac(other)
-            return ChowCurveP2(self.a1 * s, self.ah * s, self.ah2 * s,
-                               self.ap * s, self.aph * s, self.aph2 * s)
-        # (A + pB)(A' + pB') = AA' + p(AB' + BA') since p^2 = 0
-        a, b = self.plane_part(), self.p_part()
-        a2, b2 = other.plane_part(), other.p_part()
-        return ChowCurveP2.from_parts(a * a2, a * b2 + b * a2)
+            return ChowCurveP2._make(self.a1 * s, self.ah * s, self.ah2 * s,
+                                     self.ap * s, self.aph * s, self.aph2 * s)
+        # (A + pB)(X + pY) = AX + p(AY + BX) since p^2 = 0, with
+        # A = a0 + a1 h + a2 h^2 and likewise B, X, Y
+        a0, a1, a2, b0, b1, b2 = ChowCurveP2._astuple(self)
+        x0, x1, x2, y0, y1, y2 = ChowCurveP2._astuple(other)
+        return ChowCurveP2._make(
+            a0 * x0, a0 * x1 + a1 * x0, a0 * x2 + a1 * x1 + a2 * x0,
+            a0 * y0 + b0 * x0,
+            a0 * y1 + a1 * y0 + b0 * x1 + b1 * x0,
+            a0 * y2 + a1 * y1 + a2 * y0 + b0 * x2 + b1 * x1 + b2 * x0)
 
     __rmul__ = __mul__
 

@@ -11,7 +11,6 @@ Exit codes: 0 on success, 1 on a usage error, 2 on a domain error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -85,6 +84,8 @@ def _build_parser() -> _Parser:
 
 
 def _print_json(obj) -> None:
+    import json  # only --json output needs it: text-mode calls start faster
+
     print(json.dumps(obj, separators=(", ", ": ")))
 
 
@@ -201,8 +202,11 @@ def _cmd_betti(args) -> int:
     poly = _space_poly(args.space)
     at = parse_rational(args.at) if args.at is not None else None
     if args.json:
+        # model 0 is the default: hilb:n:0 is echoed as its one spelling hilb:n
+        head, *rest = args.space.split(":")
         payload = {
-            "space": args.space,
+            "space": f"hilb:{rest[0]}" if head == "hilb" and rest[1:] == ["0"]
+                     else args.space,
             "coefficients": poly.to_coefficient_strings(),
             "degree": poly.degree,
             "euler": str(poly(1)),

@@ -171,11 +171,6 @@ def effective_generators(d: int) -> tuple[DivisorAL, DivisorAL]:
     return A_DIVISOR, L_DIVISOR
 
 
-def pullback(w: ChernP2) -> ChowCurveP2:
-    """Pull a plane K-class back to the product: r + c h + e h^2, no p part."""
-    return ChowCurveP2(w.r, w.c, w.e, 0, 0, 0)
-
-
 def family_class(kind: str, d: int) -> FamilyClass:
     """Chern character of one of the four test families of degree-d sheaves.
 
@@ -222,9 +217,13 @@ def intersection_degree(fam: FamilyClass, w: ChernP2) -> Fraction:
     """Degree of the determinant line bundle of w on the family's base curve.
 
     Riemann-Roch: the coefficient of p h^2 in ch(family) * Td * ch(w).
+    Td * ch(w) = r + (c + 3r/2) h + (e + 3c/2 + r) h^2 has no p part, so
+    only the p part B of ch(family) = A + p B reaches p h^2.
     """
-    total = fam.chern * chow.todd_relative() * pullback(w)
-    return chow.coeff(total, "ph2")
+    ch = fam.chern
+    r, c = w.r, w.c
+    return (ch.ap * (w.e + Fraction(3 * c, 2) + r)
+            + ch.aph * (c + Fraction(3 * r, 2)) + ch.aph2 * r)
 
 
 def d_in_AL(d: int) -> DivisorAL:

@@ -47,6 +47,8 @@ class _Value:
 
     def __init_subclass__(cls):
         fields = cls.__match_args__ = cls.__slots__
+        # the slot descriptors' own setters: __setattr__ below refuses
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
         # attrgetter of one name returns the bare value, of none raises
         cls._astuple = (attrgetter(*fields) if len(fields) > 1 else
                         staticmethod(lambda v: tuple(getattr(v, f) for f in fields)))
@@ -57,8 +59,21 @@ class _Value:
             values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
         if named or len(values) != len(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        for field, value in zip(fields, values):
-            object.__setattr__(self, field, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        """A value from fields already in canonical form, with no check or coercion.
+
+        For arithmetic whose results are valid by construction; the caller
+        passes what the public constructor would store (a Fraction where it
+        stores one), or equality, hashing and repr drift from it.
+        """
+        self = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values):
+            set_field(self, value)
+        return self
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")

@@ -21,7 +21,7 @@ from .ktheory import ChernP2
 
 
 #: largest degree enumerated: candidates grow like d^3, and d = 200 has 176,452,
-#: about 3 s in-process, 5-6 s as a cold `walls --degree 200` (2-vCPU x86-64 VM)
+#: 1.2-1.8 s in-process, 4.2-4.3 s as a cold `walls --degree 200` (2-vCPU x86-64 VM)
 MAX_WALL_DEGREE = 200
 
 
@@ -115,8 +115,21 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
         n_max = math.floor((tt - s_lo) / (2 * s))
         keys.extend((2 * s * n - tt, c, n) for n in range(n_min, n_max + 1))
     keys.sort()
-    return [(ktheory.ideal_twisted(n, c), Wall(x0, Fraction(-key, s)))
-            for key, c, n in keys]
+    if keys and keys[-1][0] >= 0:
+        raise EmptyWallError(f"squared radius must be positive, got "
+                             f"{Fraction(-keys[-1][0], s)}")
+    # built unchecked, being valid by construction: n >= 0, ch_2 = (c^2 - 2n)/2
+    # makes c_2 integral, and every key is negative, so every radius_sq is
+    # positive; the few distinct ch_2 values are shared
+    ch2: dict[int, Fraction] = {}
+    found = []
+    for key, c, n in keys:
+        m = c * c - 2 * n
+        e = ch2.get(m)
+        if e is None:
+            e = ch2[m] = Fraction(m, 2)
+        found.append((ChernP2._make(1, c, e), Wall._make(x0, Fraction(-key, s))))
+    return found
 
 
 def transform_walls(ws: ReferenceWallSystem, op: str, n: int = 0) -> ReferenceWallSystem:

@@ -5,9 +5,12 @@ implementation it checks: the Gaussian binomial by its product formula
 instead of the Pascal recurrence, Hilbert-scheme Betti numbers by counting
 torus-fixed-point cells instead of expanding the generating function,
 Kronecker moduli point counts by plain enumeration with row reduction
-instead of normal forms and preimage bitmasks, and potential walls by
+instead of normal forms and preimage bitmasks, potential walls by
 stepping through candidates one wall_between call at a time instead of
-the closed-form ranges of the concentric rank-zero walls.
+the closed-form ranges of the concentric rank-zero walls, products on
+(curve) x plane through their plane and p parts instead of the six
+coefficients at once, and intersection degrees through the full product
+ch(family) * Td * ch(w) instead of its one p h^2 coefficient.
 """
 
 from fractions import Fraction
@@ -15,7 +18,8 @@ from functools import cache
 from itertools import product
 
 from planemoduli import ktheory
-from planemoduli.divisors import first_wall_destabilizer
+from planemoduli.chow import ChowCurveP2, coeff, todd_relative
+from planemoduli.divisors import FamilyClass, first_wall_destabilizer
 from planemoduli.errors import EmptyWallError
 from planemoduli.exactmath import QPoly
 from planemoduli.ktheory import ChernP2
@@ -174,6 +178,23 @@ def potential_walls_by_search(d: int) -> list[tuple[ChernP2, Wall]]:
             e -= 1
     found.sort(key=lambda cw: (-cw[1].radius_sq, cw[0].c, -cw[0].e))
     return found
+
+
+def chow_product_by_parts(x: ChowCurveP2, y: ChowCurveP2 | int | Fraction) -> ChowCurveP2:
+    """x * y as (A + pB)(A' + pB') = AA' + p(AB' + BA'), with plane classes A, B."""
+    a, b = x.plane_part(), x.p_part()
+    if isinstance(y, (int, Fraction)):
+        return ChowCurveP2.from_parts(a * y, b * y)
+    a2, b2 = y.plane_part(), y.p_part()
+    return ChowCurveP2.from_parts(a * a2, a * b2 + b * a2)
+
+
+def intersection_degree_by_full_product(fam: FamilyClass, w: ChernP2) -> Fraction:
+    """The coefficient of p h^2 in the whole product ch(family) * Td * ch(w)."""
+    pullback = ChowCurveP2(w.r, w.c, w.e, 0, 0, 0)  # r + c h + e h^2, no p part
+    total = chow_product_by_parts(chow_product_by_parts(fam.chern, todd_relative()),
+                                  pullback)
+    return coeff(total, "ph2")
 
 
 # Printed 21-coefficient polynomial of the 3-Kronecker moduli N(3; 5, 4).

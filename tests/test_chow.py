@@ -6,6 +6,7 @@ import pytest
 from planemoduli.chow import (MONOMIALS, ChowCurveP2, ChowP2, coeff, exp_class,
                               todd_relative)
 from planemoduli.errors import DomainError
+from oracles import chow_product_by_parts
 
 
 def rand_class(rng, p_free=False):
@@ -37,6 +38,26 @@ class TestMul:
             x, y, z = (rand_class(rng) for _ in range(3))
             assert x * y == y * x
             assert (x * y) * z == x * (y * z)
+
+
+class TestAgainstPartsProduct:
+    def test_random_pairs_and_scalars(self):
+        rng = random.Random(2026)
+        for _ in range(200):
+            x, y = rand_class(rng), rand_class(rng)
+            cases = [(x * y, chow_product_by_parts(x, y))]
+            for s in (rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 6))):
+                cases += [(x * s, chow_product_by_parts(x, s)),
+                          (s * x, chow_product_by_parts(x, s))]
+            for got, parts in ((x + y, (x.plane_part() + y.plane_part(),
+                                        x.p_part() + y.p_part())),
+                               (x - y, (x.plane_part() - y.plane_part(),
+                                        x.p_part() - y.p_part())),
+                               (-x, (-x.plane_part(), -x.p_part()))):
+                cases.append((got, ChowCurveP2.from_parts(*parts)))
+            # equal reprs: every coefficient is a Fraction, as the constructor stores
+            for got, expected in cases:
+                assert got == expected and repr(got) == repr(expected)
 
 
 class TestExpClass:

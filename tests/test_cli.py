@@ -222,6 +222,13 @@ class TestJsonOutput:
                                          "--json"])
         assert json.loads(out)["w"] == "-6,1,-1/2"
 
+    @pytest.mark.parametrize("n", [0, 2, 8])
+    def test_hilb_default_model_has_one_echo(self, capsys, n):
+        outs = [run_capture(capsys, ["betti", "--space", space, "--json"])[1]
+                for space in (f"hilb:{n}", f"hilb:{n}:0")]
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["space"] == f"hilb:{n}"
+
     def test_effective_json(self, capsys):
         _, out, _ = run_capture(capsys, ["effective", "--degree", "9", "--json"])
         data = json.loads(out)

@@ -14,6 +14,7 @@ from planemoduli.divisors import (A_DIVISOR, L_DIVISOR, DivisorAL, FamilyClass,
 from planemoduli.errors import DomainError
 from planemoduli.ktheory import (ChernP2, euler_product, ideal_twisted,
                                  line_bundle, moduli, point)
+from oracles import intersection_degree_by_full_product
 
 
 def nef_a_coefficient(d: int) -> Fraction:
@@ -213,6 +214,22 @@ class TestIntersectionDegrees:
             w = ChernP2(rng.randint(-3, 3), c,
                         Fraction(c * c, 2) + rng.randint(-4, 4))
             assert intersection_degree(bumped, w) == intersection_degree(fam, w)
+
+    def test_matches_full_product(self):
+        # every family of d = 3..80 against d_class(d), then 50 seeded
+        # classes, each against every family of five seeded degrees
+        rng = random.Random(80)
+        cases = [(d, d_class(d)) for d in range(3, 81)]
+        for _ in range(50):
+            c = rng.randint(-6, 6)
+            w = ChernP2(rng.randint(-6, 6), c, Fraction(c * c, 2) + rng.randint(-9, 9))
+            cases += [(d, w) for d in rng.sample(range(3, 81), 5)]
+        for d, w in cases:
+            for kind in ("pencil", "jacobian", "odd_wall" if d % 2 else "even_wall"):
+                fam = family_class(kind, d)
+                value = intersection_degree(fam, w)
+                assert type(value) is Fraction
+                assert value == intersection_degree_by_full_product(fam, w)
 
 
 class TestBasisConversion:

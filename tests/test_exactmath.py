@@ -250,6 +250,17 @@ class TestValueRecords:
         with pytest.raises(AttributeError):
             delattr(value, fields[0])
 
+    def test_unchecked_make_matches_the_constructor(self):
+        for value, text in VALUES:
+            if isinstance(value, tuple):  # a named tuple's _make takes one iterable
+                continue
+            items = tuple(getattr(value, name) for name in value.__match_args__)
+            made = type(value)._make(*items)
+            assert type(made) is type(value) and made == value
+            assert repr(made) == text
+        # no check runs: the caller vouches for the fields
+        assert Wall._make(Fraction(0), Fraction(-1)).radius_sq == -1
+
     def test_keyword_construction(self):
         chern, wall = ChowCurveP2(0, 1), Wall(-3, 1)
         assert (FamilyClass(chern=chern, label="pencil", degree_d=6)

@@ -1,8 +1,8 @@
 """The finite-field oracle against plain enumeration and the recursion.
 
-Also checks that numpy, which only the oracle needs, and dataclasses and
-inspect, which nothing needs, stay off the import path of the package and
-of the command line.
+Also checks that numpy, which only the oracle needs, json, which only
+--json output needs, and dataclasses and inspect, which nothing needs, stay
+off the import path of the package and of the text-mode command line.
 """
 
 import os
@@ -55,7 +55,7 @@ def _modules_after(code: str, module: str) -> str:
 
 
 # typing is not listed: site can load it before any test code runs
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "json"])
 @pytest.mark.parametrize("code", [
     "import planemoduli",
     """

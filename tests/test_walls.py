@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from planemoduli import walls
 from planemoduli.errors import (AmbiguousChamberError, DomainError,
                                 EmptyWallError, NoWallError)
 from planemoduli.ktheory import ChernP2, dual, line_bundle, moduli, shift, twist
@@ -103,6 +105,31 @@ class TestEnumeratePotentialWalls:
     @pytest.mark.parametrize("d", [*range(3, 31), 60])
     def test_matches_stepping_search(self, d):
         assert enumerate_potential_walls(d) == potential_walls_by_search(d)
+
+    @pytest.mark.parametrize("d", [*range(3, 61), 120])
+    def test_values_match_their_validated_construction(self, d):
+        # the candidates are built unchecked; the public constructors must
+        # accept each one and store the same fields, of the same types, so
+        # that the reprs match too
+        found = enumerate_potential_walls(d)
+        assert [(ChernP2(cand.r, cand.c, cand.e), Wall(wall.center, wall.radius_sq))
+                for cand, wall in found] == found
+        assert {(type(cand.r), type(cand.c), type(cand.e), type(wall.center),
+                 type(wall.radius_sq)) for cand, wall in found} == \
+            {(int, int, Fraction, Fraction, Fraction)}
+
+    def test_nonpositive_radius_guard(self, monkeypatch):
+        real = walls.wall_between
+
+        def collapsing_inside_out(v, w):
+            wall = real(v, w)
+            if w == line_bundle(0):  # a collapsing wall of radius_sq -1
+                return SimpleNamespace(center=wall.center, radius_sq=Fraction(-1))
+            return wall
+
+        monkeypatch.setattr(walls, "wall_between", collapsing_inside_out)
+        with pytest.raises(EmptyWallError):
+            enumerate_potential_walls(6)
 
     def test_degree_too_small(self):
         with pytest.raises(DomainError):
