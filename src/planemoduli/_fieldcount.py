@@ -8,122 +8,201 @@ P_W = A_1^{-1}(W) n ... n A_m^{-1}(W) of dimension d >= 1 with
 dim(W) e < d f: the pair (P_W, W) is then a subrepresentation of larger
 slope, and every destabilizing pair sits inside one of this form.
 
-For every matrix and every W the preimage is stored as a bitmask over the
-p^e vectors of F_p^e, split into 64-bit words.  A tuple's P_W is the AND
-of its matrices' masks and has p^d elements, so the test is one AND and
-one popcount per (tuple, W).  Every tuple is still tested on its own;
-none are grouped by multiplicity.
+Sets are Python ints used as bitsets.  A preimage A^{-1}(W) is the
+intersection of the kernels of phi A over a basis phi of the annihilator
+of W, stored as a mask over the p^e vectors of F_p^e; each kernel mask is
+built once per line of functionals, since nonzero multiples share it.  A
+tuple's P_W is the AND of its matrices' masks and has p^d elements.
 
-This module imports numpy; the package imports it only when the oracle
-runs (see betti.brute_force_kronecker_count).
+What is shared: the masks of each W, one per matrix, and, for the
+innermost free matrices, one verdict bitset per W and per mask reached so
+far, built once from the groups of matrices with identical masks.  What
+is not: there is no orbit weighting beyond the rank normal form of the
+first matrix.  Every tuple still gets its own verdict, one bit of the AND
+over W of these bitsets, and the count is a popcount.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
-import numpy as np
-
-#: uint64 words per vectorized block; bounds the kernel's working memory
-BLOCK_WORDS = 1 << 20
-
-
-def _vectors(n: int, p: int) -> np.ndarray:
-    """All p^n vectors of F_p^n; row i holds the base-p digits of i."""
-    index = np.arange(p ** n, dtype=np.int64)
-    return (index[:, None] // p ** np.arange(n, dtype=np.int64)) % p
+#: widest verdict bitset, in tuples of free matrices; free matrices beyond
+#: it are enumerated one at a time, which bounds the memory
+TUPLE_BITS = 1 << 20
 
 
-def _proper_subspaces(f: int, p: int) -> list[tuple[int, np.ndarray]]:
-    """Every proper subspace of F_p^f, zero included, as (dim, membership).
-
-    The membership array is boolean over the vector indices of _vectors.
-    Subspaces are grown one spanning vector at a time from the zero one.
-    """
-    vectors = _vectors(f, p)
-    digits = p ** np.arange(f, dtype=np.int64)
-    zero = np.zeros(p ** f, dtype=bool)
-    zero[0] = True
-    layer = {zero.tobytes(): zero}
-    found = []
-    for dim in range(f):
-        found += [(dim, member) for member in layer.values()]
-        grown = {}
-        for member in layer.values():
-            inside = vectors[member]
-            for v in np.flatnonzero(~member):
-                span = (inside[:, None, :] + np.arange(p)[None, :, None]
-                        * vectors[v]) % p
-                bigger = np.zeros(p ** f, dtype=bool)
-                bigger[(span @ digits).ravel()] = True
-                grown.setdefault(bigger.tobytes(), bigger)
-        layer = grown
-    return found
-
-
-def _preimage_masks(ids: np.ndarray, e: int, f: int, p: int,
-                    subspaces: list[np.ndarray]) -> np.ndarray:
-    """masks[s, i] = bitmask over F_p^e of the preimage of subspace s under ids[i].
-
-    Matrix id a has entry (i, j) equal to base-p digit i e + j of a, and
-    each subspace is given by its membership array over F_p^f.  The result
-    has shape (len(subspaces), len(ids), words) and dtype uint64; the
-    padding bits of the last word are zero.
-    """
-    source = _vectors(e, p)
-    nvec = p ** e
-    words = -(-nvec // 64)
-    digits = p ** np.arange(f, dtype=np.int64)
-    out = np.empty((len(subspaces), len(ids), words), dtype=np.uint64)
-    step = max(1, BLOCK_WORDS // nvec)
-    for start in range(0, len(ids), step):
-        block = ids[start:start + step]
-        entries = (block[:, None] // p ** np.arange(f * e, dtype=np.int64)) % p
-        matrices = entries.reshape(len(block), f, e)
-        images = (matrices @ source.T) % p          # (block, f, p^e)
-        image_ids = np.einsum("bin,i->bn", images, digits)
-        for s, member in enumerate(subspaces):
-            bits = np.zeros((len(block), words * 64), dtype=bool)
-            bits[:, :nvec] = member[image_ids]
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            out[s, start:start + len(block)] = packed.view(np.uint64)
+def _digits(index: int, n: int, p: int) -> list[int]:
+    """The n base-p digits of index, least significant first."""
+    out = []
+    for _ in range(n):
+        index, digit = divmod(index, p)
+        out.append(digit)
     return out
+
+
+def _kernels(e: int, p: int):
+    """kernel(i): the kernel bitset of functional number i on F_p^e, memoised.
+
+    Vector x is bit sum_j x_j p^j.  Each line of nonzero functionals is
+    scaled to its representative psi with first nonzero digit 1, and its
+    kernel is built digit by digit: classes(prefix)[r] holds the vectors
+    over the first len(prefix) digits whose partial dot product with psi
+    is r, shared by every psi with that prefix, and the last digit fills
+    only residue 0.
+    """
+    by_index = {0: (1 << p ** e) - 1}
+    by_line = {}
+    by_prefix = {(): [1] + [0] * (p - 1)}
+
+    def classes(prefix: tuple[int, ...]) -> list[int]:
+        found = by_prefix.get(prefix)
+        if found is None:
+            a, width = prefix[-1], p ** (len(prefix) - 1)
+            found = by_prefix[prefix] = [0] * p
+            for r, members in enumerate(classes(prefix[:-1])):
+                if members:
+                    for c in range(p):
+                        found[(r + a * c) % p] |= members << c * width
+        return found
+
+    def kernel(index: int) -> int:
+        mask = by_index.get(index)
+        if mask is None:
+            digits = _digits(index, e, p)
+            inverse = pow(next(d for d in digits if d), -1, p)
+            line = tuple(d * inverse % p for d in digits)
+            mask = by_line.get(line)
+            if mask is None:
+                below, width = classes(line[:-1]), p ** (e - 1)
+                mask = 0
+                for c in range(p):
+                    mask |= below[-line[-1] * c % p] << c * width
+                by_line[line] = mask
+            by_index[index] = mask
+        return mask
+    return kernel
+
+
+def _annihilator_bases(f: int, p: int):
+    """Yield (dim W, basis of the annihilator of W) for every proper subspace
+    W of F_p^f, the zero subspace included.
+
+    The annihilators are the nonzero subspaces of the dual space, each
+    given once by its reduced row echelon basis.
+    """
+    for c in range(1, f + 1):
+        for pivots in combinations(range(f), c):
+            free = [(t, col) for t, pivot in enumerate(pivots)
+                    for col in range(pivot + 1, f) if col not in pivots]
+            for values in product(range(p), repeat=len(free)):
+                rows = [[int(col == pivot) for col in range(f)] for pivot in pivots]
+                for (t, col), value in zip(free, values):
+                    rows[t][col] = value
+                yield f - c, [tuple(row) for row in rows]
+
+
+class _Preimages:
+    """Preimage masks of one proper subspace W under every free matrix.
+
+    Free matrices are numbered by position in one fixed order shared by
+    every W.  A tuple of depth matrices (t_1, ..., t_depth), t_1 the
+    outermost, is bit sum_i t_i nmat^(depth - i) of a verdict bitset.
+    """
+
+    def __init__(self, need: int, masks: list[int], nmat: int):
+        self.need = need  # a preimage with this many vectors destabilizes
+        self.masks = masks
+        self.nmat = nmat
+        groups = {}
+        self.which = [groups.setdefault(mask, len(groups)) for mask in reversed(masks)]
+        self.distinct = list(groups)
+        self.texts = {}
+        self.bitsets = {}
+
+    def verdicts(self, state: int, depth: int) -> str:
+        """'1' or '0' per tuple of depth free matrices, the last tuple first:
+        whether the tuple keeps this W's preimage, from state on, stable."""
+        if state.bit_count() < self.need:
+            return "1" * self.nmat ** depth
+        if depth == 0:
+            return "0"
+        key = state, depth
+        text = self.texts.get(key)
+        if text is None:
+            parts = [self.verdicts(state & mask, depth - 1) for mask in self.distinct]
+            text = self.texts[key] = "".join([parts[i] for i in self.which])
+        return text
+
+    def bitset(self, state: int, depth: int) -> int:
+        key = state, depth
+        bits = self.bitsets.get(key)
+        if bits is None:
+            bits = self.bitsets[key] = int(self.verdicts(state, depth), 2)
+        return bits
+
+
+def _images(phi: tuple[int, ...], e: int, p: int) -> list[int]:
+    """Index of the functional phi A for every free matrix A, by position.
+
+    A runs over its e columns, each over F_p^f, the last column fastest.
+    """
+    columns = list(product(range(p), repeat=len(phi)))
+    images = [0]
+    for j in range(e):
+        step = [sum(a * b for a, b in zip(phi, col)) % p * p ** j for col in columns]
+        images = [x + y for x in images for y in step]
+    return images
 
 
 def stable_completions(first_ids: list[int], m: int, e: int, f: int,
                        p: int) -> list[int]:
     """For each first matrix id, the number of stable completions to an m-tuple.
 
-    The m - 1 free matrices range over all p^{f e} matrices each.  The
-    innermost free matrices (at least one, more while the block stays
-    under BLOCK_WORDS) form one vectorized block of AND-ed masks; the
-    outer ones are enumerated one prefix at a time.
+    Matrix id a has entry (i, j) equal to base-p digit i e + j of a.  The
+    m - 1 free matrices range over all p^{f e} matrices each.  The
+    innermost free matrices, as many as fit in TUPLE_BITS tuples, form the
+    verdict bitsets; the outer ones are enumerated one prefix at a time.
     """
-    # the preimage of W destabilizes once its dimension exceeds dim(W) e / f
-    least = [(w * e // f + 1, member) for w, member in _proper_subspaces(f, p)]
-    subspaces = [member for d, member in least if d <= e]
-    need = np.array([p ** d for d, _ in least if d <= e], dtype=np.int64)[:, None]
-    heads = _preimage_masks(np.array(first_ids, dtype=np.int64), e, f, p, subspaces)
-    nsub, _, words = heads.shape
+    kernel = _kernels(e, p)
     free = m - 1
     nmat = p ** (f * e)
-    if free:
-        table = _preimage_masks(np.arange(nmat, dtype=np.int64), e, f, p, subspaces)
-    block = np.full((nsub, 1, words), np.iinfo(np.uint64).max, dtype=np.uint64)
+
+    def preimage(rows, phis) -> int:
+        # rows: the f rows of a matrix; AND of the kernels of phi A
+        mask = -1
+        for phi in phis:
+            image = [sum(a * row[j] for a, row in zip(phi, rows)) % p for j in range(e)]
+            mask &= kernel(sum(x * p ** j for j, x in enumerate(image)))
+        return mask
+
+    # the preimage of W destabilizes once its dimension exceeds dim(W) e / f
+    annihilators = list(_annihilator_bases(f, p))
+    subspaces = []
+    for w, phis in annihilators:
+        masks = []
+        if free:
+            images = [_images(phi, e, p) for phi in phis]
+            masks = [kernel(i) for i in images[0]]
+            for other in images[1:]:
+                masks = [mask & kernel(i) for mask, i in zip(masks, other)]
+        subspaces.append(_Preimages(p ** (w * e // f + 1), masks, nmat))
     inner = 0
-    while inner < free and (inner == 0 or block.size * nmat <= BLOCK_WORDS):
-        block = (block[:, :, None, :] & table[:, None, :, :]).reshape(
-            nsub, block.shape[1] * nmat, words)
+    while inner < free and nmat ** (inner + 1) <= TUPLE_BITS:
         inner += 1
+
+    def count(states: list[int], depth: int) -> int:
+        if depth == inner:
+            bits = -1
+            for sub, state in zip(subspaces, states):
+                if state.bit_count() >= sub.need:
+                    bits &= sub.bitset(state, depth)
+            return nmat ** depth if bits == -1 else bits.bit_count()
+        return sum(count([state & sub.masks[pos] for sub, state in zip(subspaces, states)],
+                         depth - 1) for pos in range(nmat))
+
     result = []
-    for i in range(len(first_ids)):
-        stable = 0
-        for prefix in product(range(nmat), repeat=free - inner):
-            head = heads[:, i]
-            for matrix in prefix:
-                head = head & table[:, matrix]
-            counts = np.bitwise_count(head[:, None, :] & block).sum(
-                axis=2, dtype=np.int64)
-            stable += int((counts < need).all(axis=0).sum())
-        result.append(stable)
+    for first in first_ids:
+        digits = _digits(first, f * e, p)
+        rows = [digits[i * e:(i + 1) * e] for i in range(f)]
+        result.append(count([preimage(rows, phis) for _, phis in annihilators], free))
     return result

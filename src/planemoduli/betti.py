@@ -246,10 +246,10 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
     and takes the quotient by the free (GL_e x GL_f)/scalars action.  The
     enumeration fixes the first matrix in its rank normal form and weights
     by orbit size, which leaves the count unchanged and removes a factor
-    p^{e f} from the search space.  Each tuple is tested against precomputed
-    preimage bitmasks by the array kernel in _fieldcount, which is loaded
-    only here, after the guards.  Completely independent of the
-    recursion: only linear algebra over F_p enters.
+    p^{e f} from the search space.  Each tuple gets its own verdict from
+    precomputed preimage masks, as one bit of a Python-int bitset, in
+    _fieldcount, which is loaded only here, after the guards.  Completely
+    independent of the recursion: only linear algebra over F_p enters.
     """
     dv = _as_dimvector(dv)
     e, f = dv

@@ -27,9 +27,13 @@ class ChowP2(_Value):
         super().__init__(_frac(c0), _frac(c1), _frac(c2))
 
     def __add__(self, other: "ChowP2") -> "ChowP2":
+        if other.__class__ is not ChowP2:
+            return NotImplemented
         return ChowP2(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
 
     def __sub__(self, other: "ChowP2") -> "ChowP2":
+        if other.__class__ is not ChowP2:
+            return NotImplemented
         return ChowP2(self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
 
     def __neg__(self) -> "ChowP2":
@@ -39,6 +43,8 @@ class ChowP2(_Value):
         if isinstance(other, (int, Fraction)):
             s = _frac(other)
             return ChowP2(self.c0 * s, self.c1 * s, self.c2 * s)
+        if other.__class__ is not ChowP2:
+            return NotImplemented
         return ChowP2(
             self.c0 * other.c0,
             self.c0 * other.c1 + self.c1 * other.c0,
@@ -75,11 +81,15 @@ class ChowCurveP2(_Value):
     # sums, negatives and products of Fractions are Fractions, so the
     # arithmetic builds its results without the constructor's coercion
     def __add__(self, other: "ChowCurveP2") -> "ChowCurveP2":
+        if other.__class__ is not ChowCurveP2:
+            return NotImplemented
         return ChowCurveP2._make(self.a1 + other.a1, self.ah + other.ah,
                                  self.ah2 + other.ah2, self.ap + other.ap,
                                  self.aph + other.aph, self.aph2 + other.aph2)
 
     def __sub__(self, other: "ChowCurveP2") -> "ChowCurveP2":
+        if other.__class__ is not ChowCurveP2:
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "ChowCurveP2":
@@ -91,6 +101,8 @@ class ChowCurveP2(_Value):
             s = _frac(other)
             return ChowCurveP2._make(self.a1 * s, self.ah * s, self.ah2 * s,
                                      self.ap * s, self.aph * s, self.aph2 * s)
+        if other.__class__ is not ChowCurveP2:
+            return NotImplemented
         # (A + pB)(X + pY) = AX + p(AY + BX) since p^2 = 0, with
         # A = a0 + a1 h + a2 h^2 and likewise B, X, Y
         a0, a1, a2, b0, b1, b2 = ChowCurveP2._astuple(self)

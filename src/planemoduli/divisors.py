@@ -36,12 +36,18 @@ class DivisorAL(_Value):
         super().__init__(_frac(a), _frac(l))
 
     def __add__(self, other: "DivisorAL") -> "DivisorAL":
+        if other.__class__ is not DivisorAL:
+            return NotImplemented
         return DivisorAL(self.a + other.a, self.l + other.l)
 
     def __sub__(self, other: "DivisorAL") -> "DivisorAL":
+        if other.__class__ is not DivisorAL:
+            return NotImplemented
         return DivisorAL(self.a - other.a, self.l - other.l)
 
     def __mul__(self, s: Scalar) -> "DivisorAL":
+        if not isinstance(s, (int, Fraction)):
+            return NotImplemented
         return DivisorAL(self.a * _frac(s), self.l * _frac(s))
 
     __rmul__ = __mul__

@@ -38,9 +38,13 @@ class ChernP2(_Value):
         super().__init__(r, c, ee)
 
     def __add__(self, other: "ChernP2") -> "ChernP2":
+        if other.__class__ is not ChernP2:
+            return NotImplemented
         return ChernP2(self.r + other.r, self.c + other.c, self.e + other.e)
 
     def __sub__(self, other: "ChernP2") -> "ChernP2":
+        if other.__class__ is not ChernP2:
+            return NotImplemented
         return ChernP2(self.r - other.r, self.c - other.c, self.e - other.e)
 
     def __neg__(self) -> "ChernP2":

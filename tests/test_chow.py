@@ -128,3 +128,21 @@ class TestRendering:
     def test_debug_format(self):
         x = ChowCurveP2(-6, -8, -5, 0, 0, 0)
         assert str(x) == "-6 + -8 h + -5 h^2 + 0 p + 0 p h + 0 p h^2"
+
+
+class TestForeignOperands:
+    # a foreign operand makes the operator return NotImplemented, so Python
+    # raises TypeError instead of an AttributeError from inside the operator
+    @pytest.mark.parametrize("compute", [
+        lambda: ChowCurveP2(1) * ChowP2(1),
+        lambda: ChowP2(1) * ChowCurveP2(1),
+        lambda: ChowCurveP2(1) + 1,
+        lambda: ChowP2(1) + 1,
+        lambda: ChowP2(1) * "x",
+        lambda: ChowCurveP2(1) - ChowP2(1),
+        lambda: ChowP2(1) - 1,
+    ], ids=["curve-times-plane", "plane-times-curve", "curve-plus-int",
+            "plane-plus-int", "plane-times-str", "curve-minus-plane", "plane-minus-int"])
+    def test_type_error(self, compute):
+        with pytest.raises(TypeError):
+            compute()

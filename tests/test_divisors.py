@@ -265,3 +265,14 @@ class TestDivisorFormatting:
 
     def test_json(self):
         assert DivisorAL(16, 1).to_json() == {"a": "16", "l": "1"}
+
+
+class TestForeignOperands:
+    @pytest.mark.parametrize("compute", [
+        lambda: DivisorAL(1, 0) + 1,
+        lambda: DivisorAL(1, 0) - ChernP2(1, 0, 0),
+        lambda: DivisorAL(1, 0) * "x",
+    ], ids=["plus-int", "minus-chern", "times-str"])
+    def test_type_error(self, compute):
+        with pytest.raises(TypeError):
+            compute()

@@ -1,8 +1,8 @@
 """The finite-field oracle against plain enumeration and the recursion.
 
-Also checks that numpy, which only the oracle needs, json, which only
---json output needs, and dataclasses and inspect, which nothing needs, stay
-off the import path of the package and of the text-mode command line.
+Also checks that json, which only --json output needs, and dataclasses,
+inspect and numpy, which nothing needs, stay off the import path of the
+package, of the text-mode command line and of a full oracle run.
 """
 
 import os
@@ -12,13 +12,15 @@ import textwrap
 
 import pytest
 
-from planemoduli import betti
+from planemoduli import _fieldcount, betti
 from planemoduli.betti import brute_force_kronecker_count
 from planemoduli.errors import DomainError
 from oracles import kronecker_count_by_enumeration
 
 #: (m, e, f, p) with m in {2, 4, 5} and p in {2, 3, 5}, plus three 3-arrow
-#: shapes; those with 5^3 or 3^4 source vectors need two 64-bit mask words
+#: shapes, two 1-arrow shapes (no free matrix) and two with large p; masks
+#: over 5^3 or 3^4 source vectors are wider than one 64-bit word, and the
+#: 101 free matrices of (2, 1, 1, 101) fall into two groups of equal masks
 SHAPES = [
     (2, 1, 1, 2), (2, 1, 1, 3), (2, 1, 1, 5), (2, 2, 1, 2), (2, 2, 1, 3),
     (2, 1, 2, 5), (2, 3, 1, 3), (2, 2, 3, 2), (2, 3, 2, 3), (2, 1, 0, 5),
@@ -26,6 +28,7 @@ SHAPES = [
     (4, 1, 1, 5), (4, 2, 1, 3), (4, 1, 3, 2), (4, 3, 1, 3), (4, 4, 1, 2),
     (5, 1, 1, 3), (5, 2, 1, 2), (5, 2, 1, 5), (5, 1, 2, 3), (5, 3, 1, 2),
     (3, 3, 1, 5), (3, 1, 3, 5), (3, 4, 1, 3),
+    (1, 1, 1, 5), (1, 3, 2, 2), (2, 1, 1, 101), (2, 2, 1, 13),
 ]
 
 #: the plain enumeration visits p^(m e f) tuples; beyond this it is slow
@@ -41,6 +44,16 @@ def test_oracle_matches_enumeration_and_recursion(m, e, f, p):
     assert count == recursion
     if recursion:
         assert count == betti.kronecker_poincare(m, (e, f))(p)
+
+
+@pytest.mark.parametrize("inner", [0, 1])
+@pytest.mark.parametrize("m, e, f, p", [(4, 2, 1, 3), (5, 1, 2, 3), (3, 3, 2, 2)])
+def test_enumerated_prefixes_match_the_bitsets(monkeypatch, m, e, f, p, inner):
+    # verdict bitsets as wide as `inner` free matrices: the other free
+    # matrices are enumerated one prefix at a time
+    count = brute_force_kronecker_count(m, (e, f), p)
+    monkeypatch.setattr(_fieldcount, "TUPLE_BITS", p ** (e * f * inner))
+    assert brute_force_kronecker_count(m, (e, f), p) == count
 
 
 def _modules_after(code: str, module: str) -> str:
@@ -73,7 +86,11 @@ def _modules_after(code: str, module: str) -> str:
     else:
         raise AssertionError("the guard did not fire")
     """,
-], ids=["import", "cli-betti-M6", "oracle-guard"])
+    """
+    from planemoduli import brute_force_kronecker_count
+    assert brute_force_kronecker_count(3, (3, 2), 2) == 183
+    """,
+], ids=["import", "cli-betti-M6", "oracle-guard", "oracle-run"])
 def test_stays_off_the_import_path(code, module):
     assert _modules_after(code, module) == "False"
 

@@ -194,3 +194,12 @@ class TestAlgebra:
         assert (v - w) + w == v
         assert 2 * w == ChernP2(2, 6, -7)
         assert -w == shift(w)
+
+    @pytest.mark.parametrize("compute", [
+        lambda: ChernP2(1, 0, 0) + 1,
+        lambda: ChernP2(1, 0, 0) - 1,
+        lambda: ChernP2(1, 0, 0) * Fraction(1, 2),
+    ], ids=["plus-int", "minus-int", "times-fraction"])
+    def test_foreign_operand_raises_type_error(self, compute):
+        with pytest.raises(TypeError):
+            compute()
