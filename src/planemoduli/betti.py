@@ -10,8 +10,9 @@ Three independent point-count engines feed the final assembly:
     function truncated at the needed order;
   * Kronecker quiver moduli, by Reineke's one-pass resolution of the
     Harder-Narasimhan recursion (a signed sum over chains of dimension
-    vectors) evaluated exactly at integer q, the polynomial's
-    coefficients read off as the base-B digits of its value at q = B;
+    vectors) evaluated at integer q in integer arithmetic, each partial
+    sum scaled by group orders, the polynomial's coefficients read off
+    as the base-B digits of its value at q = B;
   * a finite-field brute force that literally counts semistable tuples of
     matrices over F_p, used as an oracle for the recursion's conventions;
     each tuple's stability is read off precomputed preimage bitmasks, one
@@ -95,13 +96,13 @@ def hilb_model_poincare(n: int, k: int) -> QPoly:
 
 #: largest e + f accepted; the chain sum visits every pair of points of
 #: the (e + 1)(f + 1) grid, and the dimension bound below leaves e + f
-#: open (2 arrows on (n + 1, n) give dimension 0): (17, 16) takes 0.3 s,
-#: (33, 32) 5 s, in-process on a 2-vCPU x86-64 VM
+#: open (2 arrows on (n + 1, n) give dimension 0): (9, 8) takes 0.003 s
+#: with 2 arrows and 0.03 s with 3, in-process on a 2-vCPU x86-64 VM
 MAX_KRONECKER_SIZE = 17
 
 #: largest moduli dimension m e f - e^2 - f^2 + 1 accepted; the integers
-#: of the chain sum and the digit string of P(B) grow with it: N(6; 9, 8),
-#: of dimension 288, takes 1.7 s and 150 arrows on (5, 4) over 3 minutes
+#: of the chain sum and the digit string of P(B) grow with it; no accepted
+#: shape takes over 0.04 s (N(7; 14, 3), of dimension 90, takes 0.033 s)
 MAX_KRONECKER_DEGREE = 100
 
 
@@ -109,10 +110,16 @@ DimVector = namedtuple("DimVector", ("e", "f"))
 DimVector.__doc__ = """Dimension vector (e, f) of a quiver representation."""
 
 
-def _as_dimvector(dv: "DimVector | tuple[int, int]") -> DimVector:
+def _coprime_shape(m: int, dv: "DimVector | tuple[int, int]") -> DimVector:
+    """Checks both Kronecker engines share: m >= 1, dv valid and coprime."""
+    if m < 1:
+        raise DomainError("the quiver needs at least one arrow")
     dv = DimVector(*dv)
     if dv.e < 0 or dv.f < 0 or dv == (0, 0):
         raise DomainError(f"invalid dimension vector {dv}")
+    if math.gcd(dv.e, dv.f) != 1:
+        raise DomainError(f"dimension vector {tuple(dv)} is not coprime; "
+                          "the moduli point count needs gcd(e, f) = 1")
     return dv
 
 
@@ -138,21 +145,31 @@ def _hn_stack_count(m: int, e: int, f: int, q: int) -> Fraction:
     above (e, f)'s of (-1)^(s-1) times the product over the steps y -> x
     of A(x - y) q^-<x - y, y>, where A(a, b) = q^{m a b} / (ord(a) ord(b))
     counts all representations.  One pass in order of a + b sums the
-    chains ending at each point, exactly at the integer q.
+    chains ending at each point x, times ord(x_a) ord(x_b): as
+    ord(n) / (ord(k) ord(n - k)) = q^{k (n - k)} [n k]_q, a step s = x - y
+    then weighs the integer q^{m s_a s_b - <s, y> + y_a s_a + y_b s_b}
+    [x_a y_a]_q [x_b y_b]_q, whose exponent is m s_a x_b >= 0.
     """
-    count = {(a, b): Fraction(q ** (m * a * b), _gl_order(a, q) * _gl_order(b, q))
-             for a in range(e + 1) for b in range(f + 1)}
+    binomials = [[grassmannian_poincare(k, n)(q) for k in range(n + 1)]
+                 for n in range(max(e, f) + 1)]
     # slope a / (a + b) above e / (e + f) means a f > b e
-    points = sorted((x for x in count if x[0] * f > x[1] * e), key=sum)
-    chains = {(0, 0): Fraction(-1)}
+    points = sorted(((a, b) for a in range(e + 1) for b in range(f + 1)
+                     if a * f > b * e), key=sum)
+    chains = {(0, 0): -1}
     for a, b in points + [(e, f)]:
-        total = Fraction(0)
+        total = 0
         for y, value in chains.items():
             if y[0] <= a and y[1] <= b:
                 step = (a - y[0], b - y[1])
-                total += value * count[step] / Fraction(q) ** _quiver_euler(m, step, y)
+                power = (m * step[0] * step[1] - _quiver_euler(m, step, y)
+                         + y[0] * step[0] + y[1] * step[1])
+                if power < 0:
+                    raise ConventionError(
+                        f"the chain sum for {(e, f)} has a step of weight "
+                        f"q^{power}; the Euler form's convention has drifted")
+                total += value * q ** power * binomials[a][y[0]] * binomials[b][y[1]]
         chains[(a, b)] = -total
-    return chains[(e, f)]
+    return Fraction(chains[(e, f)], _gl_order(e, q) * _gl_order(f, q))
 
 
 def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
@@ -167,12 +184,7 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
     digit list, or disagreement with the recursion at q = 3 signals a
     convention error and is reported instead of repaired.
     """
-    if m < 1:
-        raise DomainError("the quiver needs at least one arrow")
-    dv = _as_dimvector(dv)
-    if math.gcd(dv.e, dv.f) != 1:
-        raise DomainError(f"dimension vector {tuple(dv)} is not coprime; "
-                          "the moduli point count needs gcd(e, f) = 1")
+    dv = _coprime_shape(m, dv)
     if dv.e + dv.f > MAX_KRONECKER_SIZE:
         raise DomainError(f"dimension vector {tuple(dv)} is too large for the "
                           f"recursion (limit e + f <= {MAX_KRONECKER_SIZE})")
@@ -251,12 +263,7 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
     _fieldcount, which is loaded only here, after the guards.  Completely
     independent of the recursion: only linear algebra over F_p enters.
     """
-    dv = _as_dimvector(dv)
-    e, f = dv
-    if m < 1:
-        raise DomainError("the quiver needs at least one arrow")
-    if math.gcd(e, f) != 1:
-        raise DomainError(f"dimension vector {tuple(dv)} is not coprime")
+    e, f = _coprime_shape(m, dv)
     if m * e * f > MAX_BRUTE_FORCE_EXPONENT:
         raise DomainError(
             f"enumeration of p^{m * e * f} tuples is infeasible "
@@ -319,12 +326,8 @@ class KroneckerModuli(SpaceDescriptor):
     __slots__ = ("m", "e", "f")
 
 
-class Product(SpaceDescriptor):
-    __slots__ = ("factors",)
-
-
 class Bundle(SpaceDescriptor):
-    """A fiber bundle with rational fiber: Poincare polynomials multiply."""
+    """A product, or a fiber bundle with rational fiber: polynomials multiply."""
 
     __slots__ = ("fiber", "base")
 
@@ -342,11 +345,6 @@ def space_poincare(sd: SpaceDescriptor) -> QPoly:
             return hilb_model_poincare(n, k)
         case KroneckerModuli(m, e, f):
             return kronecker_poincare(m, (e, f))
-        case Product(factors):
-            out = QPoly.one()
-            for factor in factors:
-                out = out * space_poincare(factor)
-            return out
         case Bundle(fiber, base):
             return space_poincare(fiber) * space_poincare(base)
         case _:
@@ -393,12 +391,11 @@ def m6_wall_records() -> tuple[WallRecord, ...]:
     """The six flipping walls of the degree-6 moduli space, innermost first."""
     return (
         WallRecord("W1", ChernP2(1, 3, Fraction(-7, 2)), HilbModel(8, 6)),
-        WallRecord("W1'", ChernP2(1, 2, -2),
-                   Product((HilbModel(4, 2), Hilb(2)))),
+        WallRecord("W1'", ChernP2(1, 2, -2), Bundle(HilbModel(4, 2), Hilb(2))),
         WallRecord("W2", ChernP2(1, 1, Fraction(-1, 2)),
-                   Product((HilbModel(5, 2), Projective(2)))),
+                   Bundle(HilbModel(5, 2), Projective(2))),
         WallRecord("W3", ChernP2(1, 2, -1),
-                   Product((HilbModel(3, 1), Projective(2)))),
+                   Bundle(HilbModel(3, 1), Projective(2))),
         WallRecord("W4", ChernP2(1, 1, Fraction(1, 2)), HilbModel(4, 1)),
         WallRecord("W5", ChernP2(1, 2, 0), Hilb(2)),
     )

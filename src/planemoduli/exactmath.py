@@ -330,6 +330,8 @@ def _gaussian(k: int, n: int) -> QPoly:
     # nonnegative and sum to C(r, j), which is at most C(n, k) when
     # k <= n/2, so each polynomial is carried as its value at
     # q = 256^width and its coefficients are read back as base-q digits.
+    if k == 0:  # [n 0] = 1, with no row to run through
+        return QPoly.one()
     width = (math.comb(n, k).bit_length() + 7) // 8
     row = [1] + [0] * k
     for r in range(1, n + 1):

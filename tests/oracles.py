@@ -7,7 +7,9 @@ torus-fixed-point cells instead of expanding the generating function,
 Kronecker moduli point counts by plain enumeration with row reduction
 instead of normal forms and preimage bitmasks, potential walls by
 stepping through candidates one wall_between call at a time instead of
-the closed-form ranges of the concentric rank-zero walls, products on
+the closed-form ranges of the concentric rank-zero walls, the
+Harder-Narasimhan stack count by its chain sum in Fractions instead of
+integers scaled by the group orders, products on
 (curve) x plane through their plane and p parts instead of the six
 coefficients at once, and intersection degrees through the full product
 ch(family) * Td * ch(w) instead of its one p h^2 coefficient.
@@ -18,6 +20,7 @@ from functools import cache
 from itertools import product
 
 from planemoduli import ktheory
+from planemoduli.betti import _gl_order, _quiver_euler
 from planemoduli.chow import ChowCurveP2, coeff, todd_relative
 from planemoduli.divisors import FamilyClass, first_wall_destabilizer
 from planemoduli.errors import EmptyWallError
@@ -151,6 +154,28 @@ def kronecker_count_by_enumeration(m: int, e: int, f: int, p: int) -> int:
     numerator = stable * (p - 1)
     assert numerator % order == 0
     return numerator // order
+
+
+def hn_stack_count_by_fractions(m: int, e: int, f: int, q: int) -> Fraction:
+    """Count of the semistable stack with dimension vector (e, f), at q.
+
+    Reineke's chain sum with every chain value a Fraction: each step
+    y -> x multiplies by A(x - y) q^-<x - y, y>, where
+    A(a, b) = q^{m a b} / (ord(a) ord(b)) counts all representations.
+    """
+    count = {(a, b): Fraction(q ** (m * a * b), _gl_order(a, q) * _gl_order(b, q))
+             for a in range(e + 1) for b in range(f + 1)}
+    # slope a / (a + b) above e / (e + f) means a f > b e
+    points = sorted((x for x in count if x[0] * f > x[1] * e), key=sum)
+    chains = {(0, 0): Fraction(-1)}
+    for a, b in points + [(e, f)]:
+        total = Fraction(0)
+        for y, value in chains.items():
+            if y[0] <= a and y[1] <= b:
+                step = (a - y[0], b - y[1])
+                total += value * count[step] / Fraction(q) ** _quiver_euler(m, step, y)
+        chains[(a, b)] = -total
+    return chains[(e, f)]
 
 
 def potential_walls_by_search(d: int) -> list[tuple[ChernP2, Wall]]:

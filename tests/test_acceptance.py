@@ -8,8 +8,7 @@ import random
 from fractions import Fraction
 
 from planemoduli.betti import (Bundle, Grassmannian, Hilb, HilbModel,
-                               KroneckerModuli, Product, Projective,
-                               assemble_m6, brute_force_kronecker_count,
+                               KroneckerModuli, Projective, assemble_m6, brute_force_kronecker_count,
                                ext_dims_at_wall, hilb_poincare,
                                kronecker_poincare, m6_wall_records,
                                space_poincare)
@@ -214,7 +213,7 @@ def test_criterion_11_property_suites():
                KroneckerModuli(3, 5, 4)]
     spaces = list(leaves)
     for _ in range(40):
-        spaces.append(Product((rng.choice(leaves), rng.choice(leaves))))
+        spaces.append(Bundle(rng.choice(leaves), rng.choice(leaves)))
         spaces.append(Bundle(rng.choice(leaves), rng.choice(leaves)))
     assert len(spaces) >= RUNS
     for sd in spaces:

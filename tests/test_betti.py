@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from planemoduli import betti
 from planemoduli.betti import (Bundle, Grassmannian, Hilb, HilbModel,
-                               KroneckerModuli, Product, Projective,
-                               SpaceDescriptor, WallRecord, assemble_m6,
+                               KroneckerModuli, Projective, SpaceDescriptor,
+                               WallRecord, assemble_m6,
                                brute_force_kronecker_count, ext_dims_at_wall,
                                hilb_model_poincare, hilb_poincare,
                                kronecker_poincare, m6_wall_records,
@@ -17,7 +18,7 @@ from planemoduli.exactmath import (QPoly, grassmannian_poincare,
 from planemoduli.ktheory import ChernP2, point
 from oracles import (M6_EXT_DIMS, M6_FACTOR_COEFFICIENTS, M6_TABLE,
                      N6_COEFFICIENTS, hilb_fixed_point_poincare,
-                     partition_triple_count)
+                     hn_stack_count_by_fractions, partition_triple_count)
 
 
 #: (degree, Euler characteristic) of N(3; e, f) for every shape that
@@ -204,6 +205,20 @@ class TestKroneckerPoincare:
                 kronecker_poincare(m, dv)
 
 
+class TestChainSum:
+    #: shapes with 1, 2, 4, 5 and 6 arrows, the empty (1, 3, 2) among them
+    OTHER_SHAPES = [(1, 1, 1), (1, 3, 2), (2, 2, 1), (2, 5, 4), (4, 3, 2),
+                    (4, 1, 3), (5, 2, 1), (5, 4, 3), (6, 3, 2), (6, 1, 1)]
+
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_matches_the_fraction_chain_sum(self, q):
+        shapes = [(3, e, f) for e, f in THREE_ARROW_SHAPES if e and f]
+        assert len(shapes) == 47
+        for m, e, f in shapes + self.OTHER_SHAPES:
+            assert betti._hn_stack_count(m, e, f, q) == \
+                hn_stack_count_by_fractions(m, e, f, q)
+
+
 class TestBruteForce:
     def test_plane_counts(self):
         assert brute_force_kronecker_count(3, (1, 1), 2) == 7
@@ -218,6 +233,17 @@ class TestBruteForce:
     def test_three_two_at_two(self):
         assert brute_force_kronecker_count(3, (3, 2), 2) == \
             kronecker_poincare(3, (3, 2))(2)
+
+    @pytest.mark.parametrize("m, dv, message", [
+        (0, (1, 1), "at least one arrow"), (3, (0, 0), "invalid"),
+        (3, (-1, 2), "invalid"), (3, (2, 2), "not coprime"),
+    ])
+    def test_shape_guards_shared_with_the_recursion(self, m, dv, message):
+        with pytest.raises(DomainError, match=message) as by_recursion:
+            kronecker_poincare(m, dv)
+        with pytest.raises(DomainError) as by_oracle:
+            brute_force_kronecker_count(m, dv, 2)
+        assert str(by_oracle.value) == str(by_recursion.value)
 
     def test_guards(self):
         with pytest.raises(DomainError):
@@ -253,7 +279,7 @@ class TestSpacePoincare:
         assert space_poincare(KroneckerModuli(3, 1, 1)) == QPoly([1, 1, 1])
 
     def test_product_and_bundle(self):
-        sq = Product((Projective(2), Projective(2)))
+        sq = Bundle(Projective(2), Projective(2))
         assert space_poincare(sq) == projective_poincare(2) ** 2
         tower = Bundle(Projective(17), KroneckerModuli(3, 5, 4))
         assert space_poincare(tower) == \
@@ -279,7 +305,7 @@ class TestWallContribution:
 
     def test_product_base_wall(self):
         rec = WallRecord("W2", ChernP2(1, 1, Fraction(-1, 2)),
-                         Product((HilbModel(5, 2), Projective(2))))
+                         Bundle(HilbModel(5, 2), Projective(2)))
         expected = ((projective_poincare(21) - projective_poincare(3))
                     * hilb_model_poincare(5, 2) * projective_poincare(2))
         assert wall_contribution(6, rec) == expected

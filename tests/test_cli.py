@@ -136,11 +136,15 @@ class TestTextOutput:
         assert out == "17064\n"
 
     def test_deep_grassmannian(self, capsys):
-        # the Pascal recurrence runs 1500 rows deep without a traceback
-        code, out, err = run_capture(capsys, ["betti", "--space", "gr:2:1500",
-                                              "--at", "1"])
-        assert (code, out) == (0, "1124250\n")
-        assert "Traceback" not in err
+        # the Pascal recurrence runs 1500 rows deep without a traceback,
+        # and [n 0] = [n n] = 1 runs no rows at all
+        for argv, expected in (
+                (["gr:2:1500", "--at", "1"], "1124250\n"),
+                (["gr:0:" + str(10 ** 12)], "1\n"),
+                (["gr:" + str(10 ** 12) + ":" + str(10 ** 12)], "1\n")):
+            code, out, err = run_capture(capsys, ["betti", "--space", *argv])
+            assert (code, out) == (0, expected)
+            assert "Traceback" not in err
 
     def test_walls_table(self, capsys):
         _, out, _ = run_capture(capsys, ["walls", "--degree", "6"])

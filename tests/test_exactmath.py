@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from planemoduli.betti import (Bundle, DimVector, Grassmannian, Hilb,
-                               HilbModel, KroneckerModuli, Product,
-                               Projective, WallRecord)
+                               HilbModel, KroneckerModuli, Projective,
+                               WallRecord)
 from planemoduli.chow import ChowCurveP2, ChowP2
 from planemoduli.divisors import DivisorAL, FamilyClass
 from planemoduli.errors import DomainError, ExactDivisionError
@@ -217,8 +217,6 @@ VALUES = [
     (Hilb(2), "Hilb(n=2)"),
     (HilbModel(2, 9), "HilbModel(n=2, k=9)"),
     (KroneckerModuli(1, 2, 0), "KroneckerModuli(m=1, e=2, f=0)"),
-    (Product((HilbModel(4, 2), Hilb(2))),
-     "Product(factors=(HilbModel(n=4, k=2), Hilb(n=2)))"),
     (Bundle(Projective(17), KroneckerModuli(3, 5, 4)),
      "Bundle(fiber=Projective(n=17), base=KroneckerModuli(m=3, e=5, f=4))"),
     (WallRecord("W5", ChernP2(1, 2, 0), Hilb(2)),
