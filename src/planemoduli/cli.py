@@ -5,6 +5,11 @@ serialized as an integer or a "num/den" rational; floating point only ever
 appears in SVG coordinates, rounded at the moment of rendering.  Identical
 argument vectors produce identical bytes.
 
+Each command returns its output and never prints: under --json the payload
+dict, otherwise its text (the walls table as lines, every cell rendered
+before the first line is printed).  run() prints the result, so any error
+leaves stdout empty.
+
 Exit codes: 0 on success, 1 on a usage error, 2 on a domain error.
 """
 
@@ -13,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import betti, divisors, ktheory, walls
@@ -83,98 +89,63 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print_json(obj) -> None:
-    import json  # only --json output needs it: text-mode calls start faster
-
-    print(json.dumps(obj, separators=(", ", ": ")))
-
-
-def _actual_destabilizers(degree: int) -> list[ktheory.ChernP2]:
-    """Destabilizers of walls known to be actual, from curated tables."""
-    if degree == 6:
-        curated = [rec.destabilizer for rec in betti.m6_wall_records()]
-    else:
-        curated = [divisors.first_wall_destabilizer(degree)]
-    return curated + [ktheory.line_bundle(0)]
-
-
-def _cmd_walls(args) -> int:
-    candidates = walls.enumerate_potential_walls(args.degree)
-    actual = set(_actual_destabilizers(args.degree))
-    rows = []
-    for cand, wall in candidates:
-        is_actual = cand in actual
-        divisor = divisors.wall_divisor(args.degree, cand) if is_actual else None
-        rows.append((cand, wall, is_actual, divisor))
+def _cmd_walls(args) -> dict | Iterator[str]:
+    d = args.degree
+    candidates = walls.enumerate_potential_walls(d)
+    # destabilizers of walls known to be actual, from curated tables
+    actual = ({rec.destabilizer for rec in betti.m6_wall_records()} if d == 6
+              else {divisors.first_wall_destabilizer(d)})
+    actual.add(ktheory.line_bundle(0))
+    rows = [(c, w, divisors.wall_divisor(d, c) if c in actual else None)
+            for c, w in candidates]
     if args.svg:
-        render_svg([w for _, w, _, _ in rows], args.svg)
+        render_svg([w for _, w, _ in rows], args.svg)
     if args.json:
-        _print_json({
-            "degree": args.degree,
+        return {
+            "degree": d,
             "walls": [{
-                "center": str(w.center),
-                "radius_sq": str(w.radius_sq),
-                "destabilizer": str(c),
-                "actual": flag,
-                "divisor": div.to_json() if div is not None else None,
-            } for c, w, flag, div in rows],
-        })
-        return 0
+                "center": str(w.center), "radius_sq": str(w.radius_sq),
+                "destabilizer": str(c), "actual": div is not None,
+                "divisor": None if div is None else div.to_json(),
+            } for c, w, div in rows],
+        }
     header = ("center", "radius_sq", "destabilizer", "status", "divisor")
-    table = [header]
-    for c, w, flag, div in rows:
-        table.append((str(w.center), str(w.radius_sq), str(c),
-                      "actual" if flag else "potential",
-                      str(div) if div is not None else "-"))
+    table = [header, *((str(w.center), str(w.radius_sq), str(c),
+                        "potential" if div is None else "actual",
+                        "-" if div is None else str(div)) for c, w, div in rows)]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    for row in table:
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    return 0
+    # one line at a time: the joined table of a large degree is megabytes
+    return ("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+            for row in table)
 
 
-def _cmd_cone(args) -> int:
+def _cmd_cone(args) -> dict | str:
     if args.command == "nef":
         (a, b), key = divisors.nef_generators(args.degree), "B"
     else:
         (a, b), key = divisors.effective_generators(args.degree), "L"
-    if args.json:
-        _print_json({"A": a.to_json(), key: b.to_json()})
-    else:
-        print(f"{a}, {b}")
-    return 0
+    return {"A": a.to_json(), key: b.to_json()} if args.json else f"{a}, {b}"
 
 
-def _cmd_divisor(args) -> int:
+def _cmd_divisor(args) -> dict | str:
     div = divisors.wall_divisor(args.degree, parse_chern(args.destabilizer))
-    if args.json:
-        _print_json(div.to_json())
-    else:
-        print(str(div))
-    return 0
+    return div.to_json() if args.json else str(div)
 
 
-def _cmd_intersect(args) -> int:
+def _cmd_intersect(args) -> dict | str:
     family = divisors.family_class(_FAMILY_BY_FLAG[args.family], args.degree)
     w = parse_chern(args.w)
-    value = divisors.intersection_degree(family, w)
-    if args.json:
-        _print_json({"family": args.family, "degree": args.degree,
-                     "w": str(w), "value": str(value)})
-    else:
-        print(str(value))
-    return 0
+    value = str(divisors.intersection_degree(family, w))
+    return ({"family": args.family, "degree": args.degree, "w": str(w),
+             "value": value} if args.json else value)
 
 
-def _cmd_euler(args) -> int:
+def _cmd_euler(args) -> dict | str:
     v, w = parse_chern(args.v), parse_chern(args.w)
     pairing = ktheory.euler_product if args.pairing == "product" else ktheory.euler_hom
-    value = pairing(v, w)
-    if args.json:
-        _print_json({"pairing": args.pairing, "v": str(v), "w": str(w),
-                     "value": str(value)})
-    else:
-        print(str(value))
-    return 0
+    value = str(pairing(v, w))
+    return ({"pairing": args.pairing, "v": str(v), "w": str(w), "value": value}
+            if args.json else value)
 
 
 def _space_poly(spec: str) -> QPoly:
@@ -198,28 +169,25 @@ def _space_poly(spec: str) -> QPoly:
     raise _UsageError(f"unknown space {spec!r}")
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args) -> dict | str:
     poly = _space_poly(args.space)
     at = parse_rational(args.at) if args.at is not None else None
-    if args.json:
-        # model 0 is the default: hilb:n:0 is echoed as its one spelling hilb:n
-        head, *rest = args.space.split(":")
-        payload = {
-            "space": f"hilb:{rest[0]}" if head == "hilb" and rest[1:] == ["0"]
-                     else args.space,
-            "coefficients": poly.to_coefficient_strings(),
-            "degree": poly.degree,
-            "euler": str(poly(1)),
-        }
-        if at is not None:
-            payload["at"] = str(at)
-            payload["value"] = str(Fraction(poly(at)))
-        _print_json(payload)
-    elif at is not None:
-        print(str(Fraction(poly(at))))
-    else:
-        print(str(poly))
-    return 0
+    value = str(Fraction(poly(at))) if at is not None else None
+    if not args.json:
+        return str(poly) if value is None else value
+    # model 0 is the default: hilb:n:0 is echoed as its one spelling hilb:n
+    head, *rest = args.space.split(":")
+    payload = {
+        "space": f"hilb:{rest[0]}" if head == "hilb" and rest[1:] == ["0"]
+                 else args.space,
+        "coefficients": poly.to_coefficient_strings(),
+        "degree": poly.degree,
+        "euler": str(poly(1)),
+    }
+    if at is not None:
+        payload["at"] = str(at)
+        payload["value"] = value
+    return payload
 
 
 def render_svg(wall_list: list[Wall], path: str) -> None:
@@ -296,11 +264,18 @@ def _join_value_flags(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str]) -> int:
-    """Parse arguments, dispatch, and map failures to exit codes."""
+    """Parse arguments, dispatch, print the result and map failures to exit codes."""
     parser = _build_parser()
     try:
         args = parser.parse_args(_join_value_flags(argv))
-        return _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
+        if isinstance(result, dict):
+            import json  # only --json output needs it: text-mode calls start faster
+
+            result = json.dumps(result, separators=(", ", ": "))
+        for line in (result,) if isinstance(result, str) else result:
+            print(line)
+        return 0
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
@@ -311,9 +286,8 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     except ValueError as exc:
-        # Python will not print an int of more than
-        # sys.get_int_max_str_digits() digits; every command renders its
-        # output in full before printing, so stdout stays empty
+        # str() refuses ints of more than sys.get_int_max_str_digits() digits;
+        # every number is rendered before the first print, so stdout is empty
         if "integer string conversion" not in str(exc):
             raise
         print("error: the result has too many digits to print", file=sys.stderr)

@@ -106,17 +106,13 @@ def first_wall_destabilizer(d: int) -> ChernP2:
 def orthogonal_wall_class(v: ChernP2, vprime: ChernP2) -> ChernP2:
     """The class w with euler_product(w, v) = euler_product(w, vprime) = 0, c-part 1.
 
-    For w = (r, 1, e) each orthogonality condition is linear in (r, e):
-    r*(e_u + 3 c_u/2 + r_u) + e*r_u = -(c_u + 3 r_u/2).  Solving the 2x2
+    For w = (r, 1, e) and Td * ch(u) = (t0, t1, t2) each orthogonality
+    condition is linear in (r, e): r*t2 + e*t0 = -t1.  Solving the 2x2
     system and normalizing c = 1 makes the L-coefficient of the resulting
     divisor equal to 1.
     """
-    rows = []
-    for u in (v, vprime):
-        rows.append((u.e + Fraction(3 * u.c, 2) + u.r,
-                     Fraction(u.r),
-                     -(u.c + Fraction(3 * u.r, 2))))
-    (m00, m01, b0), (m10, m11, b1) = rows
+    (m00, m01, b0), (m10, m11, b1) = [
+        (t2, t0, -t1) for t0, t1, t2 in map(ktheory._td_ch, (v, vprime))]
     det = m00 * m11 - m01 * m10
     if det == 0:
         raise DomainError("orthogonality system is rank deficient "
@@ -227,9 +223,8 @@ def intersection_degree(fam: FamilyClass, w: ChernP2) -> Fraction:
     only the p part B of ch(family) = A + p B reaches p h^2.
     """
     ch = fam.chern
-    r, c = w.r, w.c
-    return (ch.ap * (w.e + Fraction(3 * c, 2) + r)
-            + ch.aph * (c + Fraction(3 * r, 2)) + ch.aph2 * r)
+    r, c, e = ktheory._td_ch(w)
+    return ch.ap * e + ch.aph * c + ch.aph2 * r
 
 
 def d_in_AL(d: int) -> DivisorAL:

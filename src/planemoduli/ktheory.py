@@ -118,22 +118,25 @@ def shift(v: ChernP2) -> ChernP2:
     return -v
 
 
+def _td_ch(v: ChernP2) -> tuple[int, Fraction, Fraction]:
+    """Coefficients of 1, h, h^2 in Td * ch(v) = (r, c + 3r/2, e + 3c/2 + r)."""
+    return v.r, v.c + Fraction(3 * v.r, 2), v.e + Fraction(3 * v.c, 2) + v.r
+
+
 def euler_product(v: ChernP2, w: ChernP2) -> Fraction:
     """Euler pairing with no dualization: integral of ch(v) ch(w) Td.
 
     Symmetric in its arguments.  Classes orthogonal to a moduli class
     under this pairing correspond to divisors on the moduli space.
     """
-    return ((v.r * w.e + v.c * w.c + v.e * w.r)
-            + Fraction(3, 2) * (v.r * w.c + v.c * w.r)
-            + v.r * w.r)
+    r, c, e = _td_ch(w)
+    return v.r * e + v.c * c + v.e * r
 
 
 def euler_hom(v: ChernP2, w: ChernP2) -> Fraction:
     """chi(v, w) = sum (-1)^i ext^i(v, w); equals euler_product(dual(v), w)."""
-    return ((v.r * w.e - v.c * w.c + v.e * w.r)
-            + Fraction(3, 2) * (v.r * w.c - v.c * w.r)
-            + v.r * w.r)
+    r, c, e = _td_ch(w)
+    return v.r * e - v.c * c + v.e * r
 
 
 class HilbertPolynomial(_Value):
@@ -151,8 +154,6 @@ class HilbertPolynomial(_Value):
 
 def hilbert_polynomial(v: ChernP2) -> HilbertPolynomial:
     """chi(v(m)) = (r/2) m^2 + (c + 3r/2) m + (e + 3c/2 + r)."""
-    return HilbertPolynomial(
-        quadratic=Fraction(v.r, 2),
-        linear=v.c + Fraction(3 * v.r, 2),
-        constant=v.e + Fraction(3 * v.c, 2) + v.r,
-    )
+    _, linear, constant = _td_ch(v)
+    return HilbertPolynomial(quadratic=Fraction(v.r, 2), linear=linear,
+                             constant=constant)

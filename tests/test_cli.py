@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -69,6 +70,9 @@ class TestExitCodes:
         # negative moduli dimension: empty, rejected before any counting
         ["betti", "--space", "kronecker:1:9:8"],
         ["betti", "--space", "kronecker:3:4:1"],
+        # the 4300-digit cases again, under --json
+        ["betti", "--space", "gr:2:3000", "--at", "10", "--json"],
+        ["nef", "--degree", "1" + "0" * 1500, "--json"],
     ])
     def test_unbounded_work_rejected_up_front(self, capsys, argv):
         code, out, err = run_capture(capsys, argv)
@@ -279,10 +283,11 @@ class TestSvg:
         assert target.read_text().count("<path") == 1
 
     def test_unwritable_path(self, capsys):
-        code, _, err = run_capture(capsys, ["walls", "--degree", "6",
-                                            "--svg", "/nonexistent/dir/out.svg"])
+        code, out, err = run_capture(capsys, ["walls", "--degree", "6",
+                                              "--svg", "/nonexistent/dir/out.svg"])
         assert code == 2
         assert "error" in err
+        assert out == ""
 
 
 # Expected stdout of every subcommand in text and --json mode, byte for
@@ -457,3 +462,24 @@ class TestGoldenBytes:
                              ids=[" ".join(argv) for argv, _ in GOLDEN])
     def test_stdout(self, capsys, argv, expected):
         assert run_capture(capsys, argv)[:2] == (0, expected)
+
+
+# sha256 of the stdout of larger walls tables, text and --json
+WALLS_DIGESTS = [
+    (["walls", "--degree", "7"],
+     "d906822dad2e944f48b4fd530c0969b91d4d3e6152c12be1116713b8a530eff7"),
+    (["walls", "--degree", "7", "--json"],
+     "97a5aa9213e3a2d69eca5b2a1be140eec3245282d49cf1fd8ffa1ae8a1c9a8d1"),
+    (["walls", "--degree", "60"],
+     "57b721386ef9ce210e16d1827be1d1a5b8cbf27941e61f0331198b1a3ddbe0eb"),
+    (["walls", "--degree", "60", "--json"],
+     "0be6845d3dda0d7a4f31d6098c542ec4d9a4bef3a7001c7eb7f7efe5c43fcc7c"),
+]
+
+
+class TestWallsDigests:
+    @pytest.mark.parametrize("argv, digest", WALLS_DIGESTS,
+                             ids=[" ".join(argv) for argv, _ in WALLS_DIGESTS])
+    def test_stdout(self, capsys, argv, digest):
+        code, out, _ = run_capture(capsys, argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

@@ -146,6 +146,17 @@ class TestEulerPairings:
             product = ChowP2(v.r, v.c, v.e) * ChowP2(w.r, w.c, w.e) * todd
             assert euler_product(v, w) == product.c2
 
+    def test_td_ch_matches_chow_route(self):
+        # independent route: the plane part of the relative Todd class times
+        # ch(w) in the truncated Chow ring
+        from planemoduli.chow import ChowP2, todd_relative
+        from planemoduli.ktheory import _td_ch
+        rng = random.Random(48)
+        for _ in range(100):
+            w = rand_chern(rng)
+            product = (todd_relative() * ChowP2(w.r, w.c, w.e).lift()).plane_part()
+            assert _td_ch(w) == (product.c0, product.c1, product.c2)
+
     def test_hilbert_polynomial_matches_pairing_route(self):
         # chi(v(m)) is also the pairing of the structure sheaf against the
         # twisted class
