@@ -1,12 +1,17 @@
 """Finite-field kernel of the brute-force Kronecker point count.
 
-Counts the m-tuples of f x e matrices over F_p, with the first matrix
-fixed, that have no destabilizing subrepresentation.  A tuple
-(A_1, ..., A_m) is destabilized exactly when some proper subspace W of
-F_p^f (the zero subspace included) has a preimage
-P_W = A_1^{-1}(W) n ... n A_m^{-1}(W) of dimension d >= 1 with
+Counts the m-tuples of f x e matrices over F_p that have no destabilizing
+subrepresentation.  A tuple (A_1, ..., A_m) is destabilized exactly when
+some proper subspace W of F_p^f (the zero subspace included) has a
+preimage P_W = A_1^{-1}(W) n ... n A_m^{-1}(W) of dimension d >= 1 with
 dim(W) e < d f: the pair (P_W, W) is then a subrepresentation of larger
 slope, and every destabilizing pair sits inside one of this form.
+
+GL_e x GL_f acts on the tuples and preserves stability, so the first
+matrix is fixed to its rank normal form (ones at (i, i) for i < r) and
+its count is weighted by the number of matrices of rank r.  For this
+head, phi A_1 is the first r coordinates of phi, so its preimage masks
+need no matrix at all.
 
 Sets are Python ints used as bitsets.  A preimage A^{-1}(W) is the
 intersection of the kernels of phi A over a basis phi of the annihilator
@@ -26,18 +31,11 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from .exactmath import grassmannian_poincare
+
 #: widest verdict bitset, in tuples of free matrices; free matrices beyond
 #: it are enumerated one at a time, which bounds the memory
 TUPLE_BITS = 1 << 20
-
-
-def _digits(index: int, n: int, p: int) -> list[int]:
-    """The n base-p digits of index, least significant first."""
-    out = []
-    for _ in range(n):
-        index, digit = divmod(index, p)
-        out.append(digit)
-    return out
 
 
 def _kernels(e: int, p: int):
@@ -68,7 +66,7 @@ def _kernels(e: int, p: int):
     def kernel(index: int) -> int:
         mask = by_index.get(index)
         if mask is None:
-            digits = _digits(index, e, p)
+            digits = [index // p ** j % p for j in range(e)]
             inverse = pow(next(d for d in digits if d), -1, p)
             line = tuple(d * inverse % p for d in digits)
             mask = by_line.get(line)
@@ -154,26 +152,29 @@ def _images(phi: tuple[int, ...], e: int, p: int) -> list[int]:
     return images
 
 
-def stable_completions(first_ids: list[int], m: int, e: int, f: int,
-                       p: int) -> list[int]:
-    """For each first matrix id, the number of stable completions to an m-tuple.
+def _rank_count(f: int, e: int, r: int, p: int) -> int:
+    """Number of f x e matrices over F_p of rank r."""
+    out = grassmannian_poincare(r, e)(p)
+    for i in range(r):
+        out *= p ** f - p ** i
+    return out
 
-    Matrix id a has entry (i, j) equal to base-p digit i e + j of a.  The
-    m - 1 free matrices range over all p^{f e} matrices each.  The
-    innermost free matrices, as many as fit in TUPLE_BITS tuples, form the
-    verdict bitsets; the outer ones are enumerated one prefix at a time.
+
+def stable_tuples(m: int, e: int, f: int, p: int) -> int:
+    """Number of stable m-tuples of f x e matrices over F_p.
+
+    The first matrix runs over the rank normal forms, each weighted by
+    _rank_count.  The m - 1 free matrices range over all p^{f e} matrices
+    each.  The innermost free matrices, as many as fit in TUPLE_BITS
+    tuples, form the verdict bitsets; the outer ones are enumerated one
+    prefix at a time.
     """
+    if e < f:
+        # transposing every matrix is a stability-preserving bijection
+        e, f = f, e
     kernel = _kernels(e, p)
     free = m - 1
     nmat = p ** (f * e)
-
-    def preimage(rows, phis) -> int:
-        # rows: the f rows of a matrix; AND of the kernels of phi A
-        mask = -1
-        for phi in phis:
-            image = [sum(a * row[j] for a, row in zip(phi, rows)) % p for j in range(e)]
-            mask &= kernel(sum(x * p ** j for j, x in enumerate(image)))
-        return mask
 
     # the preimage of W destabilizes once its dimension exceeds dim(W) e / f
     annihilators = list(_annihilator_bases(f, p))
@@ -200,9 +201,14 @@ def stable_completions(first_ids: list[int], m: int, e: int, f: int,
         return sum(count([state & sub.masks[pos] for sub, state in zip(subspaces, states)],
                          depth - 1) for pos in range(nmat))
 
-    result = []
-    for first in first_ids:
-        digits = _digits(first, f * e, p)
-        rows = [digits[i * e:(i + 1) * e] for i in range(f)]
-        result.append(count([preimage(rows, phis) for _, phis in annihilators], free))
-    return result
+    stable = 0
+    for r in range(f + 1):
+        # phi A for the head of rank r is phi's first r coordinates
+        heads = []
+        for _, phis in annihilators:
+            mask = -1
+            for phi in phis:
+                mask &= kernel(sum(phi[j] * p ** j for j in range(r)))
+            heads.append(mask)
+        stable += _rank_count(f, e, r, p) * count(heads, free)
+    return stable

@@ -242,34 +242,25 @@ MAX_BRUTE_FORCE_EXPONENT = 20
 MAX_PREIMAGE_MASK_BITS = 1 << 16
 
 
-def _rank_count(f: int, e: int, r: int, p: int) -> int:
-    """Number of f x e matrices over F_p of rank r."""
-    out = grassmannian_poincare(r, e)(p)
-    for i in range(r):
-        out *= p ** f - p ** i
-    return out
-
-
 def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
                                 p: int) -> int:
     """Point count of the Kronecker moduli space over F_p by enumeration.
 
     Counts m-tuples of f x e matrices with no destabilizing subspace pair
     and takes the quotient by the free (GL_e x GL_f)/scalars action.  The
-    enumeration fixes the first matrix in its rank normal form and weights
-    by orbit size, which leaves the count unchanged and removes a factor
-    p^{e f} from the search space.  Each tuple gets its own verdict from
-    precomputed preimage masks, as one bit of a Python-int bitset, in
-    _fieldcount, which is loaded only here, after the guards.  Completely
-    independent of the recursion: only linear algebra over F_p enters.
+    enumeration fixes the first matrix to one rank normal form per rank
+    and weights each by the number of matrices of that rank, which leaves
+    the count unchanged and removes a factor p^{e f} from the search
+    space.  Each tuple gets its own verdict from precomputed preimage
+    masks, as one bit of a Python-int bitset, in _fieldcount, which is
+    loaded only here, after the guards.  Completely independent of the
+    recursion: only linear algebra over F_p enters.
     """
     e, f = _coprime_shape(m, dv)
     if m * e * f > MAX_BRUTE_FORCE_EXPONENT:
         raise DomainError(
             f"enumeration of p^{m * e * f} tuples is infeasible "
             f"(limit p^{MAX_BRUTE_FORCE_EXPONENT})")
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        raise DomainError(f"{p} is not a prime")
     if p ** (m * e * f) > 400_000_000:
         raise DomainError(
             f"enumeration of {p}^{m * e * f} tuples is infeasible")
@@ -279,15 +270,11 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
         raise DomainError(
             f"preimage bitmasks over {p}^{max(e, f)} vectors are infeasible "
             f"(limit {MAX_PREIMAGE_MASK_BITS} bits)")
-    if e < f:
-        # transposing every matrix is a stability-preserving bijection
-        e, f = f, e
-    from . import _fieldcount
-    # the first matrix of rank r is fixed to ones at (i, i) for i < r and
-    # weighted by the number of f x e matrices of rank r
-    normal_forms = [sum(p ** (i * e + i) for i in range(r)) for r in range(f + 1)]
-    completions = _fieldcount.stable_completions(normal_forms, m, e, f, p)
-    stable = sum(_rank_count(f, e, r, p) * n for r, n in enumerate(completions))
+    # last: the guards above leave p <= 2^16, so the trial division is short
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise DomainError(f"{p} is not a prime")
+    from ._fieldcount import stable_tuples
+    stable = stable_tuples(m, e, f, p)
     group_order = _gl_order(e, p) * _gl_order(f, p)
     numerator = stable * (p - 1)
     if numerator % group_order != 0:

@@ -98,7 +98,7 @@ def _cmd_walls(args) -> dict | Iterator[str]:
     actual.add(ktheory.line_bundle(0))
     rows = [(c, w, divisors.wall_divisor(d, c) if c in actual else None)
             for c, w in candidates]
-    if args.svg:
+    if args.svg is not None:
         render_svg([w for _, w, _ in rows], args.svg)
     if args.json:
         return {

@@ -13,8 +13,8 @@ Two layers, both immutable and exact:
 
 Division of polynomials is only ever exact division: exact_div raises
 ExactDivisionError when a remainder (or a fractional quotient coefficient)
-appears, which downstream modules use as a correctness check rather than
-an inconvenience.
+appears.  No module of the package divides polynomials; the test oracles
+do, and rely on that error as a correctness check.
 
 The immutable records of the other modules (Chern characters, walls,
 divisors, Chow classes, space descriptors) derive from the value base _Value.

@@ -16,6 +16,7 @@ from planemoduli.errors import ConventionError, DomainError
 from planemoduli.exactmath import (QPoly, grassmannian_poincare,
                                    is_palindromic, projective_poincare)
 from planemoduli.ktheory import ChernP2, point
+from planemoduli.walls import enumerate_potential_walls
 from oracles import (M6_EXT_DIMS, M6_FACTOR_COEFFICIENTS, M6_TABLE,
                      N6_COEFFICIENTS, hilb_fixed_point_poincare,
                      hn_stack_count_by_fractions, partition_triple_count)
@@ -252,6 +253,10 @@ class TestBruteForce:
             brute_force_kronecker_count(3, (2, 2), 2)
         with pytest.raises(DomainError):
             brute_force_kronecker_count(3, (1, 1), 4)
+        # a prime too large for trial division: the size guards reject it
+        for m, dv in ((3, (1, 1)), (1, (1, 0))):
+            with pytest.raises(DomainError):
+                brute_force_kronecker_count(m, dv, 2 ** 61 - 1)
 
 
 class TestExtDims:
@@ -347,3 +352,18 @@ class TestAssembly:
         assert total.degree == 37
         assert total(1) == 17064
         assert is_palindromic(total)
+
+    def test_flips_are_curated_consistently(self):
+        # a flip trades a P^(a-1)-bundle over the base for a P^(b-1)-bundle,
+        # so dim base + a + b - 1 = dim M6 = 37; each destabilizer is a
+        # potential wall, and the walls are recorded innermost first
+        records = m6_wall_records()
+        for rec in records:
+            a, b = ext_dims_at_wall(6, rec.destabilizer)
+            assert space_poincare(rec.base).degree + a + b - 1 == 37
+        candidates = dict(enumerate_potential_walls(6))
+        radii = [candidates[rec.destabilizer].radius_sq for rec in records]
+        assert radii == [Fraction(n, 9) for n in (25, 28, 31, 46, 49, 64)]
+        contributions = [wall_contribution(6, rec)(1) for rec in records]
+        assert contributions == [1944, 2430, 3888, 702, 756, 162]
+        assert q6_poincare()(1) + sum(contributions) == 17064

@@ -283,11 +283,12 @@ class TestSvg:
         assert target.read_text().count("<path") == 1
 
     def test_unwritable_path(self, capsys):
-        code, out, err = run_capture(capsys, ["walls", "--degree", "6",
-                                              "--svg", "/nonexistent/dir/out.svg"])
-        assert code == 2
-        assert "error" in err
-        assert out == ""
+        for path in ("/nonexistent/dir/out.svg", ""):
+            code, out, err = run_capture(capsys, ["walls", "--degree", "6",
+                                                  "--svg", path])
+            assert code == 2
+            assert "error" in err
+            assert out == ""
 
 
 # Expected stdout of every subcommand in text and --json mode, byte for

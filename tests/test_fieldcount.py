@@ -2,7 +2,8 @@
 
 Also checks that json, which only --json output needs, and dataclasses,
 inspect and numpy, which nothing needs, stay off the import path of the
-package, of the text-mode command line and of a full oracle run.
+package, of the text-mode command line and of a full oracle run, and
+that the oracle's own module loads only when the oracle runs.
 """
 
 import os
@@ -67,16 +68,19 @@ def _modules_after(code: str, module: str) -> str:
     return done.stdout.splitlines()[-1]
 
 
+CLI_BETTI_M6 = """
+import contextlib, io
+from planemoduli import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["betti", "--space", "M6"]) == 0
+"""
+
+
 # typing is not listed: site can load it before any test code runs
 @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "json"])
 @pytest.mark.parametrize("code", [
     "import planemoduli",
-    """
-    import contextlib, io
-    from planemoduli import cli
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(["betti", "--space", "M6"]) == 0
-    """,
+    CLI_BETTI_M6,
     """
     from planemoduli import DomainError, brute_force_kronecker_count
     try:
@@ -93,6 +97,11 @@ def _modules_after(code: str, module: str) -> str:
 ], ids=["import", "cli-betti-M6", "oracle-guard", "oracle-run"])
 def test_stays_off_the_import_path(code, module):
     assert _modules_after(code, module) == "False"
+
+
+def test_oracle_loads_lazily():
+    # sys.modules only grows: this also covers the bare package import
+    assert _modules_after(CLI_BETTI_M6, "planemoduli._fieldcount") == "False"
 
 
 def test_mask_width_guard():
