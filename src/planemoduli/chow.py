@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactmath import Scalar, _frac, _Value
+from .exactmath import Scalar, _frac, _Vector
 
 
-class ChowP2(_Value):
+class ChowP2(_Vector):
     """A class c0 + c1*h + c2*h^2 on the plane, truncated at h^3 = 0."""
 
     __slots__ = ("c0", "c1", "c2")
@@ -26,39 +26,21 @@ class ChowP2(_Value):
     def __init__(self, c0: Scalar = 0, c1: Scalar = 0, c2: Scalar = 0):
         super().__init__(_frac(c0), _frac(c1), _frac(c2))
 
-    def __add__(self, other: "ChowP2") -> "ChowP2":
-        if other.__class__ is not ChowP2:
-            return NotImplemented
-        return ChowP2(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-
-    def __sub__(self, other: "ChowP2") -> "ChowP2":
-        if other.__class__ is not ChowP2:
-            return NotImplemented
-        return ChowP2(self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
-
-    def __neg__(self) -> "ChowP2":
-        return ChowP2(-self.c0, -self.c1, -self.c2)
-
     def __mul__(self, other: "ChowP2 | int | Fraction") -> "ChowP2":
-        if isinstance(other, (int, Fraction)):
-            s = _frac(other)
-            return ChowP2(self.c0 * s, self.c1 * s, self.c2 * s)
         if other.__class__ is not ChowP2:
-            return NotImplemented
-        return ChowP2(
+            return super().__mul__(other)
+        return ChowP2._make(
             self.c0 * other.c0,
             self.c0 * other.c1 + self.c1 * other.c0,
             self.c0 * other.c2 + self.c1 * other.c1 + self.c2 * other.c0,
         )
-
-    __rmul__ = __mul__
 
     def lift(self) -> "ChowCurveP2":
         """Pull back to the product (no p component)."""
         return ChowCurveP2(self.c0, self.c1, self.c2, 0, 0, 0)
 
 
-class ChowCurveP2(_Value):
+class ChowCurveP2(_Vector):
     """A class on (parameter curve) x plane on the basis {1, h, h^2, p, ph, ph^2}."""
 
     __slots__ = ("a1", "ah", "ah2", "ap", "aph", "aph2")
@@ -78,31 +60,9 @@ class ChowCurveP2(_Value):
     def p_part(self) -> ChowP2:
         return ChowP2(self.ap, self.aph, self.aph2)
 
-    # sums, negatives and products of Fractions are Fractions, so the
-    # arithmetic builds its results without the constructor's coercion
-    def __add__(self, other: "ChowCurveP2") -> "ChowCurveP2":
-        if other.__class__ is not ChowCurveP2:
-            return NotImplemented
-        return ChowCurveP2._make(self.a1 + other.a1, self.ah + other.ah,
-                                 self.ah2 + other.ah2, self.ap + other.ap,
-                                 self.aph + other.aph, self.aph2 + other.aph2)
-
-    def __sub__(self, other: "ChowCurveP2") -> "ChowCurveP2":
-        if other.__class__ is not ChowCurveP2:
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ChowCurveP2":
-        return ChowCurveP2._make(-self.a1, -self.ah, -self.ah2,
-                                 -self.ap, -self.aph, -self.aph2)
-
     def __mul__(self, other: "ChowCurveP2 | int | Fraction") -> "ChowCurveP2":
-        if isinstance(other, (int, Fraction)):
-            s = _frac(other)
-            return ChowCurveP2._make(self.a1 * s, self.ah * s, self.ah2 * s,
-                                     self.ap * s, self.aph * s, self.aph2 * s)
         if other.__class__ is not ChowCurveP2:
-            return NotImplemented
+            return super().__mul__(other)
         # (A + pB)(X + pY) = AX + p(AY + BX) since p^2 = 0, with
         # A = a0 + a1 h + a2 h^2 and likewise B, X, Y
         a0, a1, a2, b0, b1, b2 = ChowCurveP2._astuple(self)
@@ -112,8 +72,6 @@ class ChowCurveP2(_Value):
             a0 * y0 + b0 * x0,
             a0 * y1 + a1 * y0 + b0 * x1 + b1 * x0,
             a0 * y2 + a1 * y1 + a2 * y0 + b0 * x2 + b1 * x1 + b2 * x0)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return (f"{self.a1} + {self.ah} h + {self.ah2} h^2 + "

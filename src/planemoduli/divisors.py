@@ -23,34 +23,17 @@ from fractions import Fraction
 from . import chow, ktheory
 from .chow import ChowCurveP2
 from .errors import ConventionError, DomainError
-from .exactmath import Scalar, _frac, _signed_sum, _Value
+from .exactmath import Scalar, _frac, _signed_sum, _Value, _Vector
 from .ktheory import ChernP2
 
 
-class DivisorAL(_Value):
+class DivisorAL(_Vector):
     """A divisor class a*A + l*L on the moduli space."""
 
     __slots__ = ("a", "l")
 
     def __init__(self, a: Scalar, l: Scalar):
         super().__init__(_frac(a), _frac(l))
-
-    def __add__(self, other: "DivisorAL") -> "DivisorAL":
-        if other.__class__ is not DivisorAL:
-            return NotImplemented
-        return DivisorAL(self.a + other.a, self.l + other.l)
-
-    def __sub__(self, other: "DivisorAL") -> "DivisorAL":
-        if other.__class__ is not DivisorAL:
-            return NotImplemented
-        return DivisorAL(self.a - other.a, self.l - other.l)
-
-    def __mul__(self, s: Scalar) -> "DivisorAL":
-        if not isinstance(s, (int, Fraction)):
-            return NotImplemented
-        return DivisorAL(self.a * _frac(s), self.l * _frac(s))
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return _signed_sum(((self.a, "A"), (self.l, "L")), times="")

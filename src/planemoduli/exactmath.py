@@ -17,7 +17,10 @@ appears.  No module of the package divides polynomials; the test oracles
 do, and rely on that error as a correctness check.
 
 The immutable records of the other modules (Chern characters, walls,
-divisors, Chow classes, space descriptors) derive from the value base _Value.
+divisors, Chow classes, space descriptors) derive from the value base _Value;
+the linear ones (Chern characters, {A, L} divisors, Chow classes) from its
+subclass _Vector, which adds, subtracts, negates and scales them field by
+field.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter
+from operator import add, attrgetter, neg, sub
 
 from .errors import DomainError, ExactDivisionError
 
@@ -66,9 +69,11 @@ class _Value:
     def _make(cls, *values):
         """A value from fields already in canonical form, with no check or coercion.
 
-        For arithmetic whose results are valid by construction; the caller
-        passes what the public constructor would store (a Fraction where it
-        stores one), or equality, hashing and repr drift from it.
+        For arithmetic whose results are valid by construction: the
+        _Vector operations, the Chow ring products and
+        walls.enumerate_potential_walls.  The caller passes what the public
+        constructor would store (a Fraction where it stores one), or
+        equality, hashing and repr drift from it.
         """
         self = object.__new__(cls)
         for set_field, value in zip(cls._setters, values):
@@ -94,6 +99,45 @@ class _Value:
 
     def __reduce__(self):
         return type(self), self._astuple(self)
+
+
+class _Vector(_Value):
+    """A _Value that adds, subtracts, negates and scales field by field.
+
+    Only a record of the same class, or a scalar of the class's _scalars,
+    is an operand; any other gets NotImplemented, so Python raises
+    TypeError.
+    """
+
+    # The results skip the constructor's checks because they are valid by
+    # construction.  Sums, differences, negatives and integer multiples keep
+    # a Chern character's e - c^2/2 integral (a sum's is the summands' total
+    # minus c c', and n e - (n c)^2/2 = n (e - c^2/2) - n (n - 1) c^2/2 with
+    # n (n - 1) even), and they keep int fields int and Fraction fields
+    # Fraction.  Rational multiples of the records whose fields are all
+    # Fractions stay Fractions, and so do the Chow ring products.
+    __slots__ = ()
+    _scalars = (int, Fraction)
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._make(*map(add, self._astuple(self), other._astuple(other)))
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._make(*map(sub, self._astuple(self), other._astuple(other)))
+
+    def __neg__(self):
+        return self._make(*map(neg, self._astuple(self)))
+
+    def __mul__(self, s):
+        if not isinstance(s, self._scalars):
+            return NotImplemented
+        return self._make(*[x * s for x in self._astuple(self)])
+
+    __rmul__ = __mul__
 
 
 def parse_int(text: str) -> int:

@@ -17,13 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactmath import Scalar, _frac, _signed_sum, _Value, parse_int, parse_rational
+from .exactmath import Scalar, _frac, _signed_sum, _Value, _Vector, parse_int, parse_rational
 
 
-class ChernP2(_Value):
+class ChernP2(_Vector):
     """Chern character (rank, degree, ch_2) of a class on the plane."""
 
     __slots__ = ("r", "c", "e")
+    _scalars = int  # a rational multiple can break integrality
 
     def __init__(self, r: int, c: int, e: Scalar):
         if not isinstance(r, int) or not isinstance(c, int):
@@ -36,26 +37,6 @@ class ChernP2(_Value):
                 f"ch_2 - c^2/2 must be an integer (integral second Chern class); "
                 f"got (r, c, e) = ({r}, {c}, {ee})")
         super().__init__(r, c, ee)
-
-    def __add__(self, other: "ChernP2") -> "ChernP2":
-        if other.__class__ is not ChernP2:
-            return NotImplemented
-        return ChernP2(self.r + other.r, self.c + other.c, self.e + other.e)
-
-    def __sub__(self, other: "ChernP2") -> "ChernP2":
-        if other.__class__ is not ChernP2:
-            return NotImplemented
-        return ChernP2(self.r - other.r, self.c - other.c, self.e - other.e)
-
-    def __neg__(self) -> "ChernP2":
-        return ChernP2(-self.r, -self.c, -self.e)
-
-    def __mul__(self, n: int) -> "ChernP2":
-        if not isinstance(n, int):
-            return NotImplemented
-        return ChernP2(n * self.r, n * self.c, n * self.e)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return f"{self.r},{self.c},{self.e}"

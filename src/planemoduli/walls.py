@@ -21,7 +21,8 @@ from .ktheory import ChernP2
 
 
 #: largest degree enumerated: candidates grow like d^3, and d = 200 has 176,452,
-#: 1.2-1.8 s in-process, 4.2-4.3 s as a cold `walls --degree 200` (2-vCPU x86-64 VM)
+#: 0.67-0.81 s in-process, 1.5-1.9 s as a cold `walls --degree 200` (10 runs each,
+#: Python 3.11.7, 2-vCPU x86-64 VM)
 MAX_WALL_DEGREE = 200
 
 

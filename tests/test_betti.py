@@ -198,6 +198,23 @@ class TestKroneckerPoincare:
             assert is_palindromic(poly)
             assert all(c >= 0 for c in poly.coefficients)
 
+    def test_one_by_f_shapes_are_grassmannians(self):
+        # a stable representation of (1, f) is m vectors spanning C^f, that
+        # is an f x m matrix of rank f up to GL_f, so N(m; 1, f) = Gr(f, m),
+        # and N(m; f, 1) is its transpose; the chain sum and the q-Pascal
+        # rows are independent routes.  The guards accept (1, f) for
+        # 1 <= f <= 16 and dimension f (m - f) in 0..100 ((1, 0) is a point
+        # for every m)
+        shapes = [(m, f) for f in range(1, 17) for m in range(f, f + 100 // f + 1)]
+        assert len(shapes) == 350
+        for m, f in shapes:
+            grassmannian = grassmannian_poincare(f, m)
+            assert kronecker_poincare(m, (1, f)) == grassmannian
+            assert kronecker_poincare(m, (f, 1)) == grassmannian
+        for m, dv in [(f + 100 // f + 1, (1, f)) for f in range(1, 17)] + [(17, (1, 17))]:
+            with pytest.raises(DomainError, match="above the limit|too large"):
+                kronecker_poincare(m, dv)
+
     def test_degree_limit(self):
         # dimension 100 is the largest accepted: 101 arrows on (1, 1)
         assert kronecker_poincare(101, (1, 1)) == QPoly((1,) * 101)

@@ -267,6 +267,13 @@ class TestDivisorFormatting:
         assert DivisorAL(16, 1).to_json() == {"a": "16", "l": "1"}
 
 
+class TestArithmetic:
+    def test_negation(self):
+        d = DivisorAL(Fraction(-5, 2), 1)
+        assert -d == d * -1 == DivisorAL(Fraction(5, 2), -1)
+        assert d - d == d + -d == DivisorAL(0, 0)
+
+
 class TestForeignOperands:
     @pytest.mark.parametrize("compute", [
         lambda: DivisorAL(1, 0) + 1,

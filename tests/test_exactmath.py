@@ -259,6 +259,41 @@ class TestValueRecords:
         # no check runs: the caller vouches for the fields
         assert Wall._make(Fraction(0), Fraction(-1)).radius_sq == -1
 
+    def test_vector_arithmetic_matches_the_constructor(self):
+        # the _Vector operations and the Chow ring products build their
+        # results unchecked; each must be what the public constructor
+        # stores for the same fields, of the same types
+        rng = random.Random(16)
+
+        def rational():
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+        def chern():
+            c = rng.randint(-9, 9)
+            return ChernP2(rng.randint(-9, 9), c, Fraction(c * c, 2) + rng.randint(-9, 9))
+
+        draws = {ChernP2: chern,
+                 DivisorAL: lambda: DivisorAL(rational(), rng.randint(-9, 9)),
+                 ChowP2: lambda: ChowP2(*(rational() for _ in range(3))),
+                 ChowCurveP2: lambda: ChowCurveP2(*(rational() for _ in range(6)))}
+        integers = [0, 1, -3, 7, True, 2 ** 70]
+        for cls, draw in draws.items():
+            scalars = integers if cls is ChernP2 else integers + [Fraction(1, 2),
+                                                                  Fraction(-5, 3)]
+            for _ in range(40):
+                x, y = draw(), draw()
+                results = [x + y, x - y, -x] + [x * s for s in scalars] + \
+                    [s * x for s in scalars]
+                if cls in (ChowP2, ChowCurveP2):
+                    results.append(x * y)
+                for result in results:
+                    items = tuple(getattr(result, name) for name in cls.__match_args__)
+                    rebuilt = cls(*items)
+                    assert type(result) is cls and result == rebuilt
+                    assert repr(result) == repr(rebuilt)
+                    assert [type(v) for v in items] == \
+                        [type(getattr(rebuilt, name)) for name in cls.__match_args__]
+
     def test_keyword_construction(self):
         chern, wall = ChowCurveP2(0, 1), Wall(-3, 1)
         assert (FamilyClass(chern=chern, label="pencil", degree_d=6)
