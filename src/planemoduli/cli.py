@@ -11,6 +11,11 @@ before the first line is printed).  run() prints the result, so any error
 leaves stdout empty.
 
 Exit codes: 0 on success, 1 on a usage error, 2 on a domain error.
+
+Only the argument parser, the error types and the number parsers load with
+this module.  Each command imports the modules it runs when it runs, so a
+call loads only what it uses (`euler` loads ktheory alone, and `walls` loads
+betti only for degree 6).
 """
 
 from __future__ import annotations
@@ -18,17 +23,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Iterator
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import betti, divisors, ktheory, walls
 from .errors import PlaneModuliError
-from .exactmath import QPoly, grassmannian_poincare, parse_int, parse_rational
-from .ktheory import parse_chern
-from .walls import Wall
+from .exactmath import parse_int, parse_rational
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+    from fractions import Fraction
+
+    from .exactmath import QPoly
+    from .walls import Wall
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
+_TOO_MANY_DIGITS = "the result has too many digits to print"
 
 
 class _UsageError(Exception):
@@ -90,11 +99,17 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_walls(args) -> dict | Iterator[str]:
+    from . import divisors, ktheory, walls
+
     d = args.degree
     candidates = walls.enumerate_potential_walls(d)
     # destabilizers of walls known to be actual, from curated tables
-    actual = ({rec.destabilizer for rec in betti.m6_wall_records()} if d == 6
-              else {divisors.first_wall_destabilizer(d)})
+    if d == 6:
+        from . import betti
+
+        actual = {rec.destabilizer for rec in betti.m6_wall_records()}
+    else:
+        actual = {divisors.first_wall_destabilizer(d)}
     actual.add(ktheory.line_bundle(0))
     rows = [(c, w, divisors.wall_divisor(d, c) if c in actual else None)
             for c, w in candidates]
@@ -120,6 +135,8 @@ def _cmd_walls(args) -> dict | Iterator[str]:
 
 
 def _cmd_cone(args) -> dict | str:
+    from . import divisors
+
     if args.command == "nef":
         (a, b), key = divisors.nef_generators(args.degree), "B"
     else:
@@ -128,11 +145,17 @@ def _cmd_cone(args) -> dict | str:
 
 
 def _cmd_divisor(args) -> dict | str:
+    from . import divisors
+    from .ktheory import parse_chern
+
     div = divisors.wall_divisor(args.degree, parse_chern(args.destabilizer))
     return div.to_json() if args.json else str(div)
 
 
 def _cmd_intersect(args) -> dict | str:
+    from . import divisors
+    from .ktheory import parse_chern
+
     family = divisors.family_class(_FAMILY_BY_FLAG[args.family], args.degree)
     w = parse_chern(args.w)
     value = str(divisors.intersection_degree(family, w))
@@ -141,7 +164,9 @@ def _cmd_intersect(args) -> dict | str:
 
 
 def _cmd_euler(args) -> dict | str:
-    v, w = parse_chern(args.v), parse_chern(args.w)
+    from . import ktheory
+
+    v, w = ktheory.parse_chern(args.v), ktheory.parse_chern(args.w)
     pairing = ktheory.euler_product if args.pairing == "product" else ktheory.euler_hom
     value = str(pairing(v, w))
     return ({"pairing": args.pairing, "v": str(v), "w": str(w), "value": value}
@@ -149,6 +174,9 @@ def _cmd_euler(args) -> dict | str:
 
 
 def _space_poly(spec: str) -> QPoly:
+    from . import betti
+    from .exactmath import grassmannian_poincare
+
     if spec == "M6":
         return betti.assemble_m6()
     if spec == "N6":
@@ -169,10 +197,41 @@ def _space_poly(spec: str) -> QPoly:
     raise _UsageError(f"unknown space {spec!r}")
 
 
+def _at_least(base: int, n: int, bound: int) -> bool:
+    """base**n >= bound, without building base**n when it is far larger.
+
+    When the test on bit lengths fails, base**n < 2**(bitlen(bound) + n).
+    """
+    return n * (base.bit_length() - 1) >= bound.bit_length() or base ** n >= bound
+
+
+def _value_too_long(poly: QPoly, x: Fraction) -> bool:
+    """Whether poly(x) provably has a numerator or a denominator of more
+    than sys.get_int_max_str_digits() digits, so that str() refuses it.
+
+    Decided only for a leading coefficient of +-1, and never when there is
+    no limit.  Then, for x = a/b in lowest terms and degree n, the reduced
+    denominator is exactly b**n, because the numerator is c_n a**n mod b.
+    Once |x| >= 2 max|c_i| + 1, |poly(x)| > |x|**n / 2, so the reduced
+    numerator exceeds |a|**n / 2.
+    """
+    limit, n, coefficients = sys.get_int_max_str_digits(), poly.degree, poly.coefficients
+    if not limit or not n or abs(coefficients[-1]) != 1:
+        return False
+    bound = 10 ** limit  # the least integer of more than `limit` digits
+    a, b = abs(x.numerator), x.denominator
+    return (_at_least(b, n, bound)
+            or (a >= (2 * max(map(abs, coefficients)) + 1) * b
+                and _at_least(a, n, 2 * bound)))
+
+
 def _cmd_betti(args) -> dict | str:
     poly = _space_poly(args.space)
     at = parse_rational(args.at) if args.at is not None else None
-    value = str(Fraction(poly(at))) if at is not None else None
+    if at is not None and _value_too_long(poly, at):
+        # refused before the evaluation, which would take minutes
+        raise PlaneModuliError(_TOO_MANY_DIGITS)
+    value = str(poly(at)) if at is not None else None
     if not args.json:
         return str(poly) if value is None else value
     # model 0 is the default: hilb:n:0 is echoed as its one spelling hilb:n
@@ -290,7 +349,7 @@ def run(argv: list[str]) -> int:
         # every number is rendered before the first print, so stdout is empty
         if "integer string conversion" not in str(exc):
             raise
-        print("error: the result has too many digits to print", file=sys.stderr)
+        print(f"error: {_TOO_MANY_DIGITS}", file=sys.stderr)
         return DOMAIN_ERROR
 
 

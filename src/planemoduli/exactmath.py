@@ -292,11 +292,25 @@ class QPoly:
         return out
 
     def __call__(self, x: Scalar) -> Scalar:
-        """Evaluate at a rational or integer point, exactly."""
-        acc: Scalar = 0
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return acc
+        """Evaluate at a rational or integer point, exactly.
+
+        At a Fraction a/b of a nonzero polynomial of degree n, Horner's rule
+        runs in integers over sum c_i a**i b**(n - i), and the one gcd is
+        taken when that is divided by b**n: a Fraction at every step would
+        take a gcd per coefficient.
+        """
+        if not isinstance(x, Fraction) or not self._c:
+            acc: Scalar = 0
+            for c in reversed(self._c):
+                acc = acc * x + c
+            return acc
+        a, b = x.numerator, x.denominator
+        coefficients = reversed(self._c)
+        acc, den = next(coefficients), 1
+        for c in coefficients:
+            den *= b
+            acc = acc * a + c * den
+        return Fraction(acc, den)
 
     def shifted(self, k: int) -> "QPoly":
         """Multiply by q**k."""

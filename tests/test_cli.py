@@ -1,13 +1,16 @@
 import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from planemoduli.betti import assemble_m6
-from planemoduli.cli import render_svg, run
-from planemoduli.exactmath import QPoly
+from planemoduli.cli import _space_poly, _value_too_long, render_svg, run
+from planemoduli.exactmath import QPoly, grassmannian_poincare
 from planemoduli.walls import Wall
+from importpath import package_modules_after
 from oracles import N6_COEFFICIENTS
 
 
@@ -484,3 +487,121 @@ class TestWallsDigests:
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run_capture(capsys, argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+TOO_MANY_DIGITS = "error: the result has too many digits to print\n"
+
+#: points for gr:100:200, of degree 10,000 and leading coefficient 1, with
+#: whether the refusal comes before the evaluation: a denominator b of
+#: 41 digits gives b**10000, and a 300-digit integer exceeds 2 max|c_i| + 1
+#: (max|c_i| has 56 digits), so the value has far more than 4300 digits
+HUGE_VALUE_POINTS = [
+    ("3/2", False),
+    ("-3/2", False),
+    ("123456789012345678901234567890", False),
+    ("1234567890123456789012345678901234567891/"
+     "12345678901234567890123456789012345678901", True),
+    ("7" * 300, True),
+    ("-" + "7" * 300, True),
+    ("3" * 400 + "/" + "7" * 401, True),
+]
+
+
+class TestHugeValues:
+    @pytest.mark.parametrize("at, up_front", HUGE_VALUE_POINTS,
+                             ids=[at[:12] for at, _ in HUGE_VALUE_POINTS])
+    def test_gr_100_200(self, capsys, at, up_front):
+        argv = ["betti", "--space", "gr:100:200", "--at", at]
+        assert run_capture(capsys, argv) == (2, "", TOO_MANY_DIGITS)
+        if up_front:  # cheap now, so under --json too
+            assert run_capture(capsys, argv + ["--json"]) == (2, "", TOO_MANY_DIGITS)
+        assert _value_too_long(_space_poly("gr:100:200"), Fraction(at)) == up_front
+
+    def test_refuses_only_what_str_refuses(self):
+        # at the least limit Python allows, over points whose numerators and
+        # denominators straddle it: a refusal is always right, and a monic
+        # polynomial is refused whenever its denominator alone is too long
+        bound = 10 ** 640
+        rng = random.Random(2013)
+        cases = []
+        for poly in [*(_space_poly(spec) for spec in
+                       ("M6", "N6", "Q6", "hilb:8:6", "kronecker:3:5:4", "gr:2:9",
+                        "gr:10:30", "gr:20:60")),
+                     QPoly([1, 5, -1]), QPoly([3, 0, 0, 2]), QPoly([-7] * 40 + [-1])]:
+            top = 2 * 640 // poly.degree + 3
+            cases += [(poly, Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** rng.randrange(top)),
+                                      rng.randrange(1, 10 ** rng.randrange(top) + 1)))
+                      for _ in range(60)]
+        # at the edges of the two bounds: q^n - m (q^(n-1) + ... + 1), the
+        # least |P(x)| for max|c_i| = m, at m + 1 (where it is 1), 2m and
+        # 2m + 1 (where it is (x^n + 1) / 2), with x^n just past 10^640 or
+        # 2 10^640; and 2 q^n + 1 at 1/2, whose denominator is 2^(n-1)
+        for m in (1, 2, 3, 4, 5, 9, 30):
+            for x in (m + 1, 2 * m, 2 * m + 1):
+                for least in (bound, 2 * bound):
+                    n = 1
+                    while x ** n < least:
+                        n += 1
+                    cases.append((QPoly([-m] * n + [1]), Fraction(x)))
+        cases.append((QPoly([1] + [0] * 2126 + [2]), Fraction(1, 2)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        refused = 0
+        try:
+            for poly, x in cases:
+                value = Fraction(poly(x))
+                too_long = max(abs(value.numerator), value.denominator) >= bound
+                if too_long:
+                    with pytest.raises(ValueError, match="integer string conversion"):
+                        str(value)
+                else:
+                    str(value)
+                if _value_too_long(poly, x):
+                    assert too_long
+                    refused += 1
+                elif abs(poly.coefficients[-1]) == 1:
+                    assert x.denominator ** poly.degree < bound
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert refused > 100
+
+    def test_no_limit_keeps_printing(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{grassmannian_poincare(2, 3000)(10)}\n"
+            got = run_capture(capsys, ["betti", "--space", "gr:2:3000", "--at", "10"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == (0, expected, "")
+        assert len(expected) > 5000
+
+
+#: the planemoduli submodules that one call of each command loads, on top of
+#: cli and the errors and number parsers that every call loads
+COMMAND_MODULES = [
+    (["euler", "--v", "1,-3,9/2", "--w", "1,3,-7/2", "--pairing", "hom"],
+     {"ktheory"}),
+    (["nef", "--degree", "6"], {"chow", "divisors", "ktheory"}),
+    (["effective", "--degree", "6", "--json"], {"chow", "divisors", "ktheory"}),
+    (["divisor", "--degree", "6", "--destabilizer", "1,3,-7/2"],
+     {"chow", "divisors", "ktheory"}),
+    (["intersect", "--family", "evenwall", "--degree", "6", "--w", "-6,1,-1/2"],
+     {"chow", "divisors", "ktheory"}),
+    (["walls", "--degree", "7"], {"chow", "divisors", "ktheory", "walls"}),
+    (["walls", "--degree", "6"], {"betti", "chow", "divisors", "ktheory", "walls"}),
+    (["betti", "--space", "kronecker:3:2:1"], {"betti", "ktheory"}),
+    (["frobnicate"], set()),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=[" ".join(argv[:3]) for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    code = f"""
+    import contextlib, io
+    from planemoduli import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.run({argv!r})
+    """
+    assert package_modules_after(code) == {"cli", "errors", "exactmath"} | modules

@@ -86,6 +86,20 @@ class TestQPoly:
         assert p(2) == 9
         assert p(Fraction(1, 2)) == Fraction(3, 4)
 
+    def test_rational_evaluation_matches_horner_in_fractions(self):
+        # the integer Horner pass against Horner's rule over Fractions, the
+        # evaluation it replaced; both give a Fraction, and the zero
+        # polynomial gives the int 0
+        rng = random.Random(7)
+        for _ in range(400):
+            p = QPoly(rng.randint(-30, 30) for _ in range(rng.randrange(8)))
+            x = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+            expected = 0
+            for c in reversed(p.coefficients):
+                expected = expected * x + c
+            got = p(x)
+            assert (got, type(got)) == (expected, type(expected))
+
     def test_exact_division(self):
         p = QPoly([-1, 0, 0, 1])  # q^3 - 1
         assert p.exact_div(QPoly([-1, 1])) == QPoly([1, 1, 1])

@@ -6,16 +6,12 @@ package, of the text-mode command line and of a full oracle run, and
 that the oracle's own module loads only when the oracle runs.
 """
 
-import os
-import subprocess
-import sys
-import textwrap
-
 import pytest
 
 from planemoduli import _fieldcount, betti
 from planemoduli.betti import brute_force_kronecker_count
 from planemoduli.errors import DomainError
+from importpath import modules_after as _modules_after
 from oracles import kronecker_count_by_enumeration
 
 #: (m, e, f, p) with m in {2, 4, 5} and p in {2, 3, 5}, plus three 3-arrow
@@ -55,17 +51,6 @@ def test_enumerated_prefixes_match_the_bitsets(monkeypatch, m, e, f, p, inner):
     count = brute_force_kronecker_count(m, (e, f), p)
     monkeypatch.setattr(_fieldcount, "TUPLE_BITS", p ** (e * f * inner))
     assert brute_force_kronecker_count(m, (e, f), p) == count
-
-
-def _modules_after(code: str, module: str) -> str:
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = textwrap.dedent(code) + f"\nprint({module!r} in sys.modules)\n"
-    done = subprocess.run([sys.executable, "-c", "import sys\n" + script],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
 
 
 CLI_BETTI_M6 = """

@@ -1,8 +1,16 @@
-"""The names `import planemoduli` exposes are pinned: none may go missing."""
+"""The names `import planemoduli` exposes are pinned: none may go missing.
 
+The package loads its submodules lazily, so the names are read from
+dir(planemoduli) and resolved with getattr, never from vars().
+"""
+
+import importlib
 import types
 
+import pytest
+
 import planemoduli
+from importpath import package_modules_after
 
 PUBLIC_NAMES = [
     "AmbiguousChamberError", "ChernP2", "ChowCurveP2", "ChowP2",
@@ -23,11 +31,48 @@ PUBLIC_NAMES = [
     "wall_contribution", "wall_divisor",
 ]
 
+SUBMODULES = ["betti", "chow", "divisors", "errors", "exactmath", "ktheory", "walls"]
+
 
 def test_public_names_are_pinned():
-    # submodules appear as attributes once anything imports them, so they
-    # are left out; the names re-exported by __init__ are what is pinned
-    names = sorted(name for name, value in vars(planemoduli).items()
+    # dir() also lists the submodules, and cli once anything imports it, so
+    # modules are left out; the names re-exported by __init__ are what is pinned
+    names = sorted(name for name in dir(planemoduli)
                    if not name.startswith("_")
-                   and not isinstance(value, types.ModuleType))
+                   and not isinstance(getattr(planemoduli, name), types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_each_name_is_its_home_module_attribute():
+    for name in PUBLIC_NAMES:
+        value = getattr(planemoduli, name)
+        home = importlib.import_module(f"planemoduli.{planemoduli._HOME[name]}")
+        assert getattr(home, name) is value
+        # the table names the module that defines the object; Rational is
+        # fractions.Fraction, re-exported by exactmath
+        assert getattr(value, "__module__", None) in (home.__name__, "fractions")
+
+
+def test_star_import_binds_the_public_names_and_submodules():
+    namespace: dict = {}
+    exec("from planemoduli import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(PUBLIC_NAMES + SUBMODULES)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        planemoduli.frobnicate  # noqa: B018
+
+
+def test_bare_import_loads_no_submodule():
+    assert package_modules_after("import planemoduli") == set()
+
+
+def test_submodule_resolves_after_a_bare_import():
+    code = """
+    import planemoduli
+    assert planemoduli.walls.Wall is planemoduli.Wall
+    """
+    assert package_modules_after(code) == {"chow", "divisors", "errors",
+                                           "exactmath", "ktheory", "walls"}
