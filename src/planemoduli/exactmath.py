@@ -70,10 +70,9 @@ class _Value:
         """A value from fields already in canonical form, with no check or coercion.
 
         For arithmetic whose results are valid by construction: the
-        _Vector operations, the Chow ring products and
-        walls.enumerate_potential_walls.  The caller passes what the public
-        constructor would store (a Fraction where it stores one), or
-        equality, hashing and repr drift from it.
+        _Vector operations and the Chow ring products.  The caller passes
+        what the public constructor would store (a Fraction where it
+        stores one), or equality, hashing and repr drift from it.
         """
         self = object.__new__(cls)
         for set_field, value in zip(cls._setters, values):

@@ -10,6 +10,7 @@ exact squared-distance test.
 
 from __future__ import annotations
 
+import gc
 import math
 from fractions import Fraction
 
@@ -21,8 +22,9 @@ from .ktheory import ChernP2
 
 
 #: largest degree enumerated: candidates grow like d^3, and d = 200 has 176,452,
-#: 0.67-0.81 s in-process, 1.5-1.9 s as a cold `walls --degree 200` (10 runs each,
-#: Python 3.11.7, 2-vCPU x86-64 VM)
+#: 0.52-0.81 s in-process; a cold `walls --degree 200` takes 2.8-3.3 s at a peak
+#: RSS of 125-126 MB, 2.1-2.5 s and 145 MB with --json (10 runs each, Python
+#: 3.11.7 without bytecode files, 2-vCPU x86-64 VM)
 MAX_WALL_DEGREE = 200
 
 
@@ -88,6 +90,30 @@ def wall_between(v: ChernP2, w: ChernP2) -> Wall:
     return Wall(x, radius_sq)
 
 
+def _wall_keys(d: int) -> tuple[Fraction, int, list[tuple[int, int, int]]]:
+    """The common center x0, the scale s = 4 d^2 and the sorted candidate keys.
+
+    Each candidate I_Z(c) = (1, c, c^2/2 - n) is the triple (key, c, n) with
+    key = -s r^2, an integer: scaled by s, r^2 = (x0 - c)^2 - 2n is
+    t^2 - 2 s n with t = 2 d (x0 - c).  Sorting the triples sorts the
+    candidates by descending r^2.  No degree check: see
+    enumerate_potential_walls.
+    """
+    v = ktheory.moduli(d)  # rank 0: one center for every candidate
+    collapsing = wall_between(v, ktheory.line_bundle(0))
+    x0, s = collapsing.center, 4 * d * d
+    s_lo = s * collapsing.radius_sq
+    s_hi = s * wall_between(v, first_wall_destabilizer(d)).radius_sq
+    keys = []
+    for c in range(d // 2 + 1):
+        tt = int(2 * d * (x0 - c)) ** 2
+        n_min = max(0, math.ceil((tt - s_hi) / (2 * s)))
+        n_max = math.floor((tt - s_lo) / (2 * s))
+        keys.extend((2 * s * n - tt, c, n) for n in range(n_min, n_max + 1))
+    keys.sort()
+    return x0, s, keys
+
+
 def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     """All rank-one destabilizer candidates between the collapsing and first walls.
 
@@ -103,33 +129,45 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     if d > MAX_WALL_DEGREE:
         raise DomainError(f"potential wall enumeration is limited to degree "
                           f"<= {MAX_WALL_DEGREE}")
-    v = ktheory.moduli(d)  # rank 0: one center for every candidate
-    collapsing = wall_between(v, ktheory.line_bundle(0))
-    # scaled by s = 4 d^2, r^2 is the integer t^2 - 2 s n with t = 2 d (x0 - c)
-    x0, s = collapsing.center, 4 * d * d
-    s_lo = s * collapsing.radius_sq
-    s_hi = s * wall_between(v, first_wall_destabilizer(d)).radius_sq
-    keys = []
-    for c in range(d // 2 + 1):
-        tt = int(2 * d * (x0 - c)) ** 2
-        n_min = max(0, math.ceil((tt - s_hi) / (2 * s)))
-        n_max = math.floor((tt - s_lo) / (2 * s))
-        keys.extend((2 * s * n - tt, c, n) for n in range(n_min, n_max + 1))
-    keys.sort()
+    x0, s, keys = _wall_keys(d)
     if keys and keys[-1][0] >= 0:
         raise EmptyWallError(f"squared radius must be positive, got "
                              f"{Fraction(-keys[-1][0], s)}")
     # built unchecked, being valid by construction: n >= 0, ch_2 = (c^2 - 2n)/2
     # makes c_2 integral, and every key is negative, so every radius_sq is
-    # positive; the few distinct ch_2 values are shared
+    # positive; the few distinct ch_2 values are shared.  The fields are
+    # stored as _Value._make would, without its frame per record.
+    new = object.__new__
+    set_r, set_c, set_e = ChernP2._setters
+    set_center, set_radius_sq = Wall._setters
     ch2: dict[int, Fraction] = {}
     found = []
-    for key, c, n in keys:
-        m = c * c - 2 * n
-        e = ch2.get(m)
-        if e is None:
-            e = ch2[m] = Fraction(m, 2)
-        found.append((ChernP2._make(1, c, e), Wall._make(x0, Fraction(-key, s))))
+    append = found.append
+    # The collector is paused while the list grows: the loop makes no
+    # cycles and every object it makes stays alive in the result, so a
+    # collection could free nothing and would only rescan the list.  The
+    # keys are built before the pause: pausing there too saved too little
+    # to tell apart in whole calls.
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        for key, c, n in keys:
+            m = c * c - 2 * n
+            e = ch2.get(m)
+            if e is None:
+                e = ch2[m] = Fraction(m, 2)
+            cand = new(ChernP2)
+            set_r(cand, 1)
+            set_c(cand, c)
+            set_e(cand, e)
+            wall = new(Wall)
+            set_center(wall, x0)
+            set_radius_sq(wall, Fraction(-key, s))
+            append((cand, wall))
+    finally:
+        if paused:
+            gc.enable()
     return found
 
 

@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-#: seconds; the slowest test takes about 2 s
+#: seconds; the slowest test takes about 2.5 s
 TIME_LIMIT = 30
 
 

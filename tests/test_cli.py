@@ -478,6 +478,12 @@ WALLS_DIGESTS = [
      "57b721386ef9ce210e16d1827be1d1a5b8cbf27941e61f0331198b1a3ddbe0eb"),
     (["walls", "--degree", "60", "--json"],
      "0be6845d3dda0d7a4f31d6098c542ec4d9a4bef3a7001c7eb7f7efe5c43fcc7c"),
+    (["walls", "--degree", "120"],
+     "7e1953588e91362ec0e49bbec7323cb3a85d51e86241e8761f8308b144dce1d3"),
+    (["walls", "--degree", "120", "--json"],
+     "123ef98acc73a8b494187c42a7d79154df32c6f48a970cc03eac13e6a2b97ab4"),
+    (["walls", "--degree", "200"],
+     "b6f1116162c9b47860b054081a35d4a9bd34a3296b7caf1fb4634d92dcc389e2"),
 ]
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -138,6 +139,55 @@ class TestEnumeratePotentialWalls:
     def test_degree_too_large(self):
         with pytest.raises(DomainError):
             enumerate_potential_walls(201)
+
+
+class TestWallKeys:
+    @pytest.mark.parametrize("d", [*range(3, 31), 120])
+    def test_one_sorted_negative_key_per_candidate(self, d):
+        x0, s, keys = walls._wall_keys(d)
+        assert all(key < 0 for key, _, _ in keys)
+        assert keys == sorted(keys)
+        assert [(1, c, Fraction(c * c - 2 * n, 2), x0, Fraction(-key, s))
+                for key, c, n in keys] == \
+            [(cand.r, cand.c, cand.e, wall.center, wall.radius_sq)
+             for cand, wall in enumerate_potential_walls(d)]
+
+
+class TestCollectorState:
+    """The enumeration pauses the garbage collector and leaves it as it was."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_kept(self, enabled):
+        caller = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            enumerate_potential_walls(30)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if caller else gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_the_build_raises(self, monkeypatch, enabled):
+        calls, states = [], []
+
+        def failing_fraction(*args):
+            # wall_between makes the first two; the build loop the rest
+            calls.append(args)
+            if len(calls) == 5:
+                states.append(gc.isenabled())
+                raise RuntimeError("build interrupted")
+            return Fraction(*args)
+
+        monkeypatch.setattr(walls, "Fraction", failing_fraction)
+        caller = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(RuntimeError, match="build interrupted"):
+                enumerate_potential_walls(30)
+            assert states == [False]  # it raised while the collector was paused
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if caller else gc.disable()
 
 
 class TestReferenceSystems:
