@@ -12,7 +12,10 @@ Harder-Narasimhan stack count by its chain sum in Fractions instead of
 integers scaled by the group orders, products on
 (curve) x plane through their plane and p parts instead of the six
 coefficients at once, and intersection degrees through the full product
-ch(family) * Td * ch(w) instead of its one p h^2 coefficient.
+ch(family) * Td * ch(w) instead of its one p h^2 coefficient.  Td * ch,
+the two Euler pairings, the orthogonal wall class, its divisor, the
+truncated exponential and the four test families are also kept in
+Fractions, step by step, against the library's integer numerators.
 """
 
 from fractions import Fraction
@@ -22,8 +25,9 @@ from itertools import product
 from planemoduli import ktheory
 from planemoduli.betti import _gl_order, _quiver_euler
 from planemoduli.chow import ChowCurveP2, coeff, todd_relative
-from planemoduli.divisors import FamilyClass, first_wall_destabilizer
-from planemoduli.errors import EmptyWallError
+from planemoduli.divisors import (DivisorAL, FamilyClass, first_wall_destabilizer,
+                                  genus)
+from planemoduli.errors import DomainError, EmptyWallError
 from planemoduli.exactmath import QPoly
 from planemoduli.ktheory import ChernP2
 from planemoduli.walls import Wall, wall_between
@@ -220,6 +224,75 @@ def intersection_degree_by_full_product(fam: FamilyClass, w: ChernP2) -> Fractio
     total = chow_product_by_parts(chow_product_by_parts(fam.chern, todd_relative()),
                                   pullback)
     return coeff(total, "ph2")
+
+
+def td_ch_by_fractions(v: ChernP2) -> tuple[int, Fraction, Fraction]:
+    """Coefficients of 1, h, h^2 in Td * ch(v) = (r, c + 3r/2, e + 3c/2 + r)."""
+    return v.r, v.c + Fraction(3 * v.r, 2), v.e + Fraction(3 * v.c, 2) + v.r
+
+
+def euler_product_by_fractions(v: ChernP2, w: ChernP2) -> Fraction:
+    """The integral of ch(v) ch(w) Td, in Fractions."""
+    r, c, e = td_ch_by_fractions(w)
+    return v.r * e + v.c * c + v.e * r
+
+
+def euler_hom_by_fractions(v: ChernP2, w: ChernP2) -> Fraction:
+    """chi(v, w) = the integral of ch(dual v) ch(w) Td, in Fractions."""
+    r, c, e = td_ch_by_fractions(w)
+    return v.r * e - v.c * c + v.e * r
+
+
+def orthogonal_wall_class_by_fractions(v: ChernP2, vprime: ChernP2) -> ChernP2:
+    """w = (r, 1, e) orthogonal to v and vprime, by Cramer's rule in Fractions."""
+    (m00, m01, b0), (m10, m11, b1) = [
+        (t2, t0, -t1) for t0, t1, t2 in map(td_ch_by_fractions, (v, vprime))]
+    det = m00 * m11 - m01 * m10
+    if det == 0:
+        raise DomainError("orthogonality system is rank deficient "
+                          "(proportional input classes)")
+    r_w = (b0 * m11 - b1 * m01) / det
+    e_w = (m00 * b1 - m10 * b0) / det
+    if r_w.denominator != 1:
+        raise DomainError(f"orthogonal class has non-integer rank {r_w}")
+    return ChernP2(int(r_w), 1, e_w)
+
+
+def wall_divisor_by_fractions(d: int, vprime: ChernP2) -> DivisorAL:
+    """The wall divisor as alpha*A-part + beta*L-part of w = alpha*point + beta*theta."""
+    v = ktheory.moduli(d)
+    w = orthogonal_wall_class_by_fractions(v, vprime)
+    assert euler_product_by_fractions(w, v) == 0
+    beta = Fraction(w.c)
+    alpha = w.e + beta / 2
+    assert w.r == -d * beta
+    return DivisorAL(alpha + beta * (1 - d), beta)
+
+
+def exp_class_by_fractions(alpha: int | Fraction, beta: int | Fraction) -> ChowCurveP2:
+    """(1 + alpha p) (1 + beta h + beta^2/2 h^2), each coefficient a Fraction product."""
+    a, b = Fraction(alpha), Fraction(beta)
+    half_b2 = b * b / 2
+    return ChowCurveP2(1, b, half_b2, a, a * b, a * half_b2)
+
+
+def family_class_by_fractions(kind: str, d: int) -> FamilyClass:
+    """The four test families, from the closed forms of the family_class docstring."""
+    g = genus(d)
+    exp = exp_class_by_fractions
+
+    def h2(x):
+        return ChowCurveP2(0, 0, x, 0, 0, 0)
+
+    if kind == "pencil":
+        cls = exp(1, 0) - exp(0, -d) + h2(g)
+    elif kind == "jacobian":
+        cls = ChowCurveP2(0, d, g - Fraction(d * d, 2), 0, d, 1 - g - Fraction(3 * d, 2))
+    elif kind == "even_wall":
+        cls = exp(0, Fraction(d - 2, 2)) - exp(-1, Fraction(-d - 2, 2)) - h2(Fraction(d - 2, 2))
+    else:
+        cls = exp(1, Fraction(d - 3, 2)) - exp(0, Fraction(-d - 3, 2)) + h2(1)
+    return FamilyClass(chern=cls, label=kind, degree_d=d)
 
 
 # Printed 21-coefficient polynomial of the 3-Kronecker moduli N(3; 5, 4).

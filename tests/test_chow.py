@@ -6,7 +6,7 @@ import pytest
 from planemoduli.chow import (MONOMIALS, ChowCurveP2, ChowP2, coeff, exp_class,
                               todd_relative)
 from planemoduli.errors import DomainError
-from oracles import chow_product_by_parts
+from oracles import chow_product_by_parts, exp_class_by_fractions
 
 
 def rand_class(rng, p_free=False):
@@ -58,6 +58,34 @@ class TestAgainstPartsProduct:
             # equal reprs: every coefficient is a Fraction, as the constructor stores
             for got, expected in cases:
                 assert got == expected and repr(got) == repr(expected)
+
+
+class TestIntegerNumerators:
+    """Products on integer numerators and exp_class against Fraction forms."""
+
+    def test_products_with_wide_denominators_and_zero_fields(self):
+        rng = random.Random(1905)
+
+        def wide_class():
+            return ChowCurveP2(*(0 if rng.random() < 0.3 else
+                                 Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                          rng.randint(1, 10 ** 4)) for _ in range(6)))
+
+        for _ in range(500):
+            x, y = wide_class(), wide_class()
+            for got, expected in ((x * y, chow_product_by_parts(x, y)),
+                                  (x * x, chow_product_by_parts(x, x)),
+                                  (x * ChowCurveP2(), ChowCurveP2())):
+                assert repr(got) == repr(expected)
+
+    def test_exp_class_matches_fraction_form(self):
+        rng = random.Random(1906)
+        for _ in range(500):
+            alpha, beta = (rng.choice((0, rng.randint(-9, 9),
+                                       Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                rng.randint(1, 10 ** 4))))
+                           for _ in range(2))
+            assert repr(exp_class(alpha, beta)) == repr(exp_class_by_fractions(alpha, beta))
 
 
 class TestExpClass:

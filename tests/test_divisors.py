@@ -14,7 +14,10 @@ from planemoduli.divisors import (A_DIVISOR, L_DIVISOR, DivisorAL, FamilyClass,
 from planemoduli.errors import DomainError
 from planemoduli.ktheory import (ChernP2, euler_product, ideal_twisted,
                                  line_bundle, moduli, point)
-from oracles import intersection_degree_by_full_product
+from oracles import (family_class_by_fractions,
+                     intersection_degree_by_full_product,
+                     orthogonal_wall_class_by_fractions,
+                     wall_divisor_by_fractions)
 
 
 def nef_a_coefficient(d: int) -> Fraction:
@@ -283,3 +286,65 @@ class TestForeignOperands:
     def test_type_error(self, compute):
         with pytest.raises(TypeError):
             compute()
+
+
+#: every degree 3..400 and 40 seeded ones up to 10^5
+DEGREES = list(range(3, 401)) + random.Random(1903).sample(range(401, 10 ** 5 + 1), 40)
+
+
+def outcome(compute, *args) -> str:
+    """repr of the result, whose fields show their types, or the error raised."""
+    try:
+        return repr(compute(*args))
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestAgainstFractionForms:
+    """The integer-numerator forms against the Fraction oracles, value and type."""
+
+    def test_orthogonal_wall_class_and_errors(self):
+        # random rank-one destabilizers (many give a non-integer rank),
+        # and proportional pairs
+        rng = random.Random(1904)
+        cases = [(moduli(6), 2 * moduli(6)), (line_bundle(1), -line_bundle(1))]
+        for _ in range(400):
+            d = rng.choice(DEGREES)
+            c = rng.randint(-d, d)
+            cases.append((moduli(d), ChernP2(rng.randint(-3, 3), c,
+                                             Fraction(c * c, 2) - rng.randint(-d, d * d))))
+        errors = 0
+        for v, vprime in cases:
+            expected = outcome(orthogonal_wall_class_by_fractions, v, vprime)
+            assert outcome(orthogonal_wall_class, v, vprime) == expected
+            errors += expected.startswith("DomainError")
+        assert 2 < errors < len(cases) // 2
+
+    def test_wall_divisor_and_nef_generators(self):
+        for d in DEGREES:
+            vprime = first_wall_destabilizer(d)
+            expected = repr(wall_divisor_by_fractions(d, vprime))
+            assert repr(wall_divisor(d, vprime)) == expected
+            assert repr(nef_generators(d)[1]) == expected
+            assert repr(wall_divisor(d, line_bundle(0))) == \
+                repr(wall_divisor_by_fractions(d, line_bundle(0)))
+
+    def test_family_classes_and_degrees(self):
+        for d in [1, 2] + DEGREES:
+            w = d_class(d)
+            for kind in ("pencil", "jacobian", "odd_wall" if d % 2 else "even_wall"):
+                fam, slow = family_class(kind, d), family_class_by_fractions(kind, d)
+                assert repr(fam) == repr(slow)
+                for u in (w, a_class()):
+                    value = intersection_degree(fam, u)
+                    expected = intersection_degree_by_full_product(slow, u)
+                    assert type(value) is type(expected) and value == expected
+
+    def test_d_in_AL(self):
+        for d in DEGREES:
+            w = d_class(d)
+            expected = DivisorAL(
+                intersection_degree_by_full_product(family_class_by_fractions("pencil", d), w),
+                intersection_degree_by_full_product(family_class_by_fractions("jacobian", d), w)
+                / (d * genus(d)))
+            assert repr(d_in_AL(d)) == repr(expected)

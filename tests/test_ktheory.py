@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from planemoduli.errors import DomainError
-from planemoduli.ktheory import (ChernP2, dual, euler_hom, euler_product,
-                                 hilbert_polynomial, ideal_twisted,
-                                 line_bundle, line_support, moduli,
-                                 parse_chern, point, shift, twist)
+from planemoduli.errors import ConventionError, DomainError
+from planemoduli.ktheory import (ChernP2, _td_ch, _td_ch2, dual, euler_hom,
+                                 euler_product, hilbert_polynomial,
+                                 ideal_twisted, line_bundle, line_support,
+                                 moduli, parse_chern, point, shift, twist)
+from oracles import (euler_hom_by_fractions, euler_product_by_fractions,
+                     td_ch_by_fractions)
 
 
 def rand_chern(rng) -> ChernP2:
@@ -43,6 +45,13 @@ class TestConstructors:
             ChernP2(1, 0, Fraction(1, 3))
         with pytest.raises(DomainError):
             ChernP2(1, Fraction(1, 2), 0)  # type: ignore[arg-type]
+
+    def test_bool_fields_are_stored_as_int(self):
+        v = ChernP2(True, False, 0)
+        assert v == ChernP2(1, 0, 0) and hash(v) == hash(ChernP2(1, 0, 0))
+        assert type(v.r) is int and type(v.c) is int
+        assert repr(v) == repr(ChernP2(1, 0, 0))
+        assert str(v) == "1,0,0" and str(dual(v)) == "1,0,0"
 
     def test_parse_and_format(self):
         v = parse_chern("1,3,-7/2")
@@ -214,3 +223,55 @@ class TestAlgebra:
     def test_foreign_operand_raises_type_error(self, compute):
         with pytest.raises(TypeError):
             compute()
+
+
+def wide_chern(rng, bound: int) -> ChernP2:
+    r = rng.randint(-bound, bound)
+    c = rng.randint(-bound, bound)
+    return ChernP2(r, c, Fraction(c * c, 2) + rng.randint(-bound * bound, bound * bound))
+
+
+def typed(values) -> list:
+    return [(type(x), x) for x in values]
+
+
+class TestIntegerKernels:
+    """The integer-numerator forms against the Fraction oracles, value and type."""
+
+    BOUNDS = (5, 10 ** 3, 10 ** 6)
+
+    def test_pairings_match_fraction_forms(self):
+        rng = random.Random(1901)
+        for bound in self.BOUNDS:
+            for _ in range(300):
+                v, w = wide_chern(rng, bound), wide_chern(rng, bound)
+                for fast, slow in ((euler_product, euler_product_by_fractions),
+                                   (euler_hom, euler_hom_by_fractions)):
+                    assert typed([fast(v, w)]) == typed([slow(v, w)])
+
+    def test_td_ch_and_hilbert_polynomial_match_fraction_forms(self):
+        rng = random.Random(1902)
+        for bound in self.BOUNDS:
+            for _ in range(300):
+                v = wide_chern(rng, bound)
+                expected = td_ch_by_fractions(v)
+                assert typed(_td_ch(v)) == typed(expected)
+                assert _td_ch2(v) == tuple(2 * x for x in expected)
+                assert all(type(x) is int for x in _td_ch2(v))
+                h = hilbert_polynomial(v)
+                assert typed([h.quadratic, h.linear, h.constant]) == \
+                    typed([Fraction(v.r, 2), *expected[1:]])
+
+    def test_kernel_refuses_a_non_integral_twice_ch2(self):
+        # only an unchecked record can carry it; the kernel raises instead
+        # of flooring 2/3 to 0
+        bad = ChernP2._make(0, 1, Fraction(1, 3))
+        with pytest.raises(ConventionError, match="2\\*ch_2 must be an integer"):
+            _td_ch2(bad)
+        for pairing in (euler_product, euler_hom):
+            with pytest.raises(ConventionError):
+                pairing(bad, line_bundle(0))
+            with pytest.raises(ConventionError):
+                pairing(line_bundle(0), bad)
+        with pytest.raises(ConventionError):
+            hilbert_polynomial(bad)
