@@ -9,9 +9,12 @@ slope, and every destabilizing pair sits inside one of this form.
 
 GL_e x GL_f acts on the tuples and preserves stability, so the first
 matrix is fixed to its rank normal form (ones at (i, i) for i < r) and
-its count is weighted by the number of matrices of rank r.  For this
-head, phi A_1 is the first r coordinates of phi, so its preimage masks
-need no matrix at all.
+its count is weighted by the number of matrices of rank r, a closed
+product over F_p.  For this head, phi A_1 is the first r coordinates of
+phi, so its preimage masks need no matrix at all.
+
+The module imports nothing from the package: no Gaussian binomial, no
+group order and no chain sum of the recursion it checks enters here.
 
 Sets are Python ints used as bitsets.  A preimage A^{-1}(W) is the
 intersection of the kernels of phi A over a basis phi of the annihilator
@@ -30,8 +33,6 @@ over W of these bitsets, and the count is a popcount.
 from __future__ import annotations
 
 from itertools import combinations, product
-
-from .exactmath import grassmannian_poincare
 
 #: widest verdict bitset, in tuples of free matrices; free matrices beyond
 #: it are enumerated one at a time, which bounds the memory
@@ -153,11 +154,13 @@ def _images(phi: tuple[int, ...], e: int, p: int) -> list[int]:
 
 
 def _rank_count(f: int, e: int, r: int, p: int) -> int:
-    """Number of f x e matrices over F_p of rank r."""
-    out = grassmannian_poincare(r, e)(p)
+    """Number of f x e matrices over F_p of rank r:
+    prod_{i<r} (p^f - p^i)(p^e - p^i) / (p^r - p^i)."""
+    out = order = 1
     for i in range(r):
-        out *= p ** f - p ** i
-    return out
+        out *= (p ** f - p ** i) * (p ** e - p ** i)
+        order *= p ** r - p ** i
+    return out // order
 
 
 def stable_tuples(m: int, e: int, f: int, p: int) -> int:

@@ -149,9 +149,17 @@ def _hn_stack_count(m: int, e: int, f: int, q: int) -> Fraction:
     ord(n) / (ord(k) ord(n - k)) = q^{k (n - k)} [n k]_q, a step s = x - y
     then weighs the integer q^{m s_a s_b - <s, y> + y_a s_a + y_b s_b}
     [x_a y_a]_q [x_b y_b]_q, whose exponent is m s_a x_b >= 0.
+
+    The rows binomials[n][k] = [n k]_q come from one q-Pascal pass at this
+    integer q, [n k] = [n-1 k-1] + q^k [n-1 k]; no Grassmannian polynomial
+    is built or cached, so the polynomials of exactmath stay a separate
+    route.
     """
-    binomials = [[grassmannian_poincare(k, n)(q) for k in range(n + 1)]
-                 for n in range(max(e, f) + 1)]
+    powers = [q ** k for k in range(max(e, f) + 1)]
+    binomials = [[1]]
+    for n in range(1, max(e, f) + 1):
+        row = binomials[-1]
+        binomials.append([1] + [row[k - 1] + powers[k] * row[k] for k in range(1, n)] + [1])
     # slope a / (a + b) above e / (e + f) means a f > b e
     points = sorted(((a, b) for a in range(e + 1) for b in range(f + 1)
                      if a * f > b * e), key=sum)
@@ -254,7 +262,9 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
     space.  Each tuple gets its own verdict from precomputed preimage
     masks, as one bit of a Python-int bitset, in _fieldcount, which is
     loaded only here, after the guards.  Completely independent of the
-    recursion: only linear algebra over F_p enters.
+    recursion: only linear algebra over F_p enters, the rank weights come
+    from their closed product, and _fieldcount imports nothing from the
+    package.
     """
     e, f = _coprime_shape(m, dv)
     if m * e * f > MAX_BRUTE_FORCE_EXPONENT:

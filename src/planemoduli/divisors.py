@@ -127,14 +127,15 @@ def orthogonal_wall_class(v: ChernP2, vprime: ChernP2) -> ChernP2:
 def lambda_decompose(w: ChernP2, d: int) -> DivisorAL:
     """Write the determinant divisor of w in the {A, L} basis.
 
-    Requires w orthogonal to the moduli class; then w = alpha*(point) +
-    beta*(theta class) and the divisor is (alpha + beta (1-d)) A + beta L.
+    Requires w orthogonal to the moduli class.  Twice Td * ch of the moduli
+    class is (0, 2d, 2), so twice the pairing is 2 (r + d c) and
+    orthogonality is exactly the rank relation r = -d c.  Then
+    w = alpha*(point) + beta*(theta class), with beta = c, and the divisor
+    is (alpha + beta (1-d)) A + beta L.
     """
     if ktheory._euler_product2(w, ktheory.moduli(d)):
         raise DomainError("class is not orthogonal to the moduli class; "
                           "its determinant divisor is not defined")
-    if w.r != -d * w.c:
-        raise ConventionError("orthogonal class fails the rank relation r = -d*c")
     # beta = c and alpha = e + c/2 give alpha + beta (1 - d) = (2e + (3 - 2d) c) / 2
     return DivisorAL(Fraction(ktheory._twice_ch2(w) + (3 - 2 * d) * w.c, 2), w.c)
 

@@ -5,9 +5,11 @@ implementation it checks: the Gaussian binomial by its product formula
 instead of the Pascal recurrence, Hilbert-scheme Betti numbers by counting
 torus-fixed-point cells instead of expanding the generating function,
 Kronecker moduli point counts by plain enumeration with row reduction
-instead of normal forms and preimage bitmasks, potential walls by
-stepping through candidates one wall_between call at a time instead of
-the closed-form ranges of the concentric rank-zero walls, the
+instead of normal forms and preimage bitmasks, the number of matrices of
+one rank through the Gaussian binomial instead of its closed product,
+potential walls by stepping through candidates one wall_between call at
+a time instead of the closed-form ranges of the concentric rank-zero
+walls, the
 Harder-Narasimhan stack count by its chain sum in Fractions instead of
 integers scaled by the group orders, products on
 (curve) x plane through their plane and p parts instead of the six
@@ -28,7 +30,7 @@ from planemoduli.chow import ChowCurveP2, coeff, todd_relative
 from planemoduli.divisors import (DivisorAL, FamilyClass, first_wall_destabilizer,
                                   genus)
 from planemoduli.errors import DomainError, EmptyWallError
-from planemoduli.exactmath import QPoly
+from planemoduli.exactmath import QPoly, grassmannian_poincare
 from planemoduli.ktheory import ChernP2
 from planemoduli.walls import Wall, wall_between
 
@@ -129,6 +131,15 @@ def _subspace_bases(n: int, p: int) -> list[list[tuple[int, ...]]]:
                         grown.append(basis + [v])
         frontier = grown
     return list(seen.values())
+
+
+def rank_count_by_grassmannian(f: int, e: int, r: int, p: int) -> int:
+    """Number of f x e matrices over F_p of rank r, as [e r]_p choices of a
+    row space times prod_{i<r} (p^f - p^i) injective maps onto it."""
+    out = grassmannian_poincare(r, e)(p)
+    for i in range(r):
+        out *= p ** f - p ** i
+    return out
 
 
 def kronecker_count_by_enumeration(m: int, e: int, f: int, p: int) -> int:

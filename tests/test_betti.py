@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from planemoduli import betti
+from planemoduli import betti, exactmath
 from planemoduli.betti import (Bundle, Grassmannian, Hilb, HilbModel,
                                KroneckerModuli, Projective, SpaceDescriptor,
                                WallRecord, assemble_m6,
@@ -201,8 +201,10 @@ class TestKroneckerPoincare:
     def test_one_by_f_shapes_are_grassmannians(self):
         # a stable representation of (1, f) is m vectors spanning C^f, that
         # is an f x m matrix of rank f up to GL_f, so N(m; 1, f) = Gr(f, m),
-        # and N(m; f, 1) is its transpose; the chain sum and the q-Pascal
-        # rows are independent routes.  The guards accept (1, f) for
+        # and N(m; f, 1) is its transpose; the chain sum builds its own
+        # integer q-binomials at each q and never calls grassmannian_poincare
+        # (TestChainSum pins that), so the two sides are independent
+        # routes.  The guards accept (1, f) for
         # 1 <= f <= 16 and dimension f (m - f) in 0..100 ((1, 0) is a point
         # for every m)
         shapes = [(m, f) for f in range(1, 17) for m in range(f, f + 100 // f + 1)]
@@ -235,6 +237,20 @@ class TestChainSum:
         for m, e, f in shapes + self.OTHER_SHAPES:
             assert betti._hn_stack_count(m, e, f, q) == \
                 hn_stack_count_by_fractions(m, e, f, q)
+
+    @pytest.mark.parametrize("m, e, f", [(3, 5, 4), (7, 14, 3), (3, 9, 8), (4, 3, 2)])
+    def test_matches_at_the_digit_base(self, m, e, f):
+        # kronecker_poincare reads the coefficients off the value at
+        # q = P(2) + 1, far beyond the small q above
+        base = kronecker_poincare(m, (e, f))(2) + 1
+        assert betti._hn_stack_count(m, e, f, base) == \
+            hn_stack_count_by_fractions(m, e, f, base)
+
+    def test_builds_no_grassmannian_polynomial(self):
+        betti._hn_stack_count.cache_clear()
+        exactmath._gaussian.cache_clear()
+        kronecker_poincare(3, (5, 4))
+        assert exactmath._gaussian.cache_info().currsize == 0
 
 
 class TestBruteForce:

@@ -100,6 +100,20 @@ class TestLambdaDecompose:
         with pytest.raises(DomainError):
             lambda_decompose(line_bundle(0), 6)
 
+    def test_orthogonal_exactly_on_the_rank_relation(self):
+        # orthogonality to moduli(d) is r = -d c, so no class passes the
+        # orthogonality test and then breaks the rank relation
+        rng = random.Random(2013)
+        for _ in range(2000):
+            d, c = rng.randint(1, 60), rng.randint(-20, 20)
+            r = -d * c + rng.choice((0, 0, rng.randint(-3, 3)))
+            w = ChernP2(r, c, Fraction(c * c + 2 * rng.randint(-50, 50), 2))
+            if r == -d * c:
+                assert lambda_decompose(w, d).l == c
+            else:
+                with pytest.raises(DomainError, match="not orthogonal"):
+                    lambda_decompose(w, d)
+
     def test_linearity(self):
         rng = random.Random(71)
         for _ in range(120):

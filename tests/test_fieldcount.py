@@ -1,10 +1,16 @@
 """The finite-field oracle against plain enumeration and the recursion.
 
+Its rank weights are checked against enumeration, against the Gaussian
+binomial form and against their total, and its module against importing
+anything from the package.
+
 Also checks that json, which only --json output needs, and dataclasses,
 inspect and numpy, which nothing needs, stay off the import path of the
 package, of the text-mode command line and of a full oracle run, and
 that the oracle's own module loads only when the oracle runs.
 """
+
+from itertools import product
 
 import pytest
 
@@ -12,7 +18,9 @@ from planemoduli import _fieldcount, betti
 from planemoduli.betti import brute_force_kronecker_count
 from planemoduli.errors import DomainError
 from importpath import modules_after as _modules_after
-from oracles import kronecker_count_by_enumeration
+from importpath import package_modules_after
+from oracles import (_rank_mod_p, kronecker_count_by_enumeration,
+                     rank_count_by_grassmannian)
 
 #: (m, e, f, p) with m in {2, 4, 5} and p in {2, 3, 5}, plus three 3-arrow
 #: shapes, two 1-arrow shapes (no free matrix) and two with large p; masks
@@ -53,6 +61,34 @@ def test_enumerated_prefixes_match_the_bitsets(monkeypatch, m, e, f, p, inner):
     assert brute_force_kronecker_count(m, (e, f), p) == count
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_count_matches_the_grassmannian_form(p):
+    for e in range(7):
+        for f in range(7):
+            for r in range(min(e, f) + 1):
+                assert _fieldcount._rank_count(f, e, r, p) == \
+                    rank_count_by_grassmannian(f, e, r, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_count_matches_enumeration(p):
+    shapes = [(f, e) for e in range(1, 13) for f in range(1, 13)
+              if p ** (f * e) <= REFERENCE_TUPLES]
+    for f, e in shapes:
+        ranks = [0] * (min(e, f) + 1)
+        for entries in product(range(p), repeat=f * e):
+            ranks[_rank_mod_p([entries[i * e:(i + 1) * e] for i in range(f)], p)] += 1
+        assert ranks == [_fieldcount._rank_count(f, e, r, p) for r in range(len(ranks))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_rank_counts_sum_to_every_matrix(p):
+    for e in range(7):
+        for f in range(7):
+            assert sum(_fieldcount._rank_count(f, e, r, p)
+                       for r in range(min(e, f) + 1)) == p ** (f * e)
+
+
 CLI_BETTI_M6 = """
 import contextlib, io
 from planemoduli import cli
@@ -87,6 +123,11 @@ def test_stays_off_the_import_path(code, module):
 def test_oracle_loads_lazily():
     # sys.modules only grows: this also covers the bare package import
     assert _modules_after(CLI_BETTI_M6, "planemoduli._fieldcount") == "False"
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # so no code of the recursion it checks can enter its count
+    assert package_modules_after("import planemoduli._fieldcount") == {"_fieldcount"}
 
 
 def test_mask_width_guard():
