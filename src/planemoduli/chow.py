@@ -12,13 +12,8 @@ Riemann-Roch computation downstream is simply the coefficient of p h^2.
 A product of two curve classes multiplies integer numerators, each
 operand over the least common multiple of its six denominators, and
 builds one Fraction per coefficient; exp_class builds its six from the
-numerators and denominators of alpha and beta.  The benchmark's
-per-layer probe (1,000 products, median of 5 in-process repeats) read
-0.082-0.093 s when every step built a Fraction and 0.018-0.025 s on
-numerators: 4 runs per side of `perfbench/run.py --workload
-library_session --trace 1`, alternating, on a 2-vCPU x86-64 VM with
-Python 3.11.7 and sys.flags.dont_write_bytecode set to 1.  Products on
-the plane alone, and with a scalar, keep the Fraction arithmetic.
+numerators and denominators of alpha and beta.  Products on the plane
+alone, and with a scalar, keep the Fraction arithmetic.
 """
 
 from __future__ import annotations

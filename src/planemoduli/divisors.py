@@ -22,13 +22,7 @@ rank is an exact integer division; lambda_decompose tests orthogonality
 with the integer pairing; family_class builds each family from its
 expanded coefficients; and intersection_degree puts the family's p part
 over one common denominator.  Each builds a Fraction only for a field
-it returns.  The benchmark's per-layer probes fell from 0.133 to
-0.034 s for nef_generators over d = 3..1002, from 0.119 to 0.027 s for
-wall_divisor, from 0.023 to 0.005 s for intersection_degree (900
-families) and from 0.092 to 0.026 s for d_in_AL over d = 3..502:
-medians of 4 runs per side of `perfbench/run.py --workload
-library_session --trace 1`, alternating, on a 2-vCPU x86-64 VM with
-Python 3.11.7 and sys.flags.dont_write_bytecode set to 1.
+it returns.
 """
 
 from __future__ import annotations

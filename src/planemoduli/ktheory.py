@@ -15,12 +15,6 @@ Td * ch and both pairings are evaluated on integers.  2 ch_2 is an
 integer for every class, so twice Td * ch(v) is the integer triple
 (2r, 2c + 3r, 2e + 3c + 2r) of the private kernel _td_ch2, and each
 pairing is one integer over 2: only the returned value is a Fraction.
-The benchmark's per-layer probes (2,000 pairs, median of 5 in-process
-repeats) read 0.034-0.054 s for either pairing when every step built a
-Fraction and 0.004-0.007 s on integers: 4 runs per side of
-`perfbench/run.py --workload library_session --trace 1`, alternating,
-on a 2-vCPU x86-64 VM with Python 3.11.7 and sys.flags.dont_write_bytecode
-set to 1.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-#: seconds; the slowest test takes about 2.5 s
+#: seconds; the slowest test takes 2.2-3.2 s on a 2-vCPU VM
 TIME_LIMIT = 30
 
 

@@ -10,7 +10,7 @@ from planemoduli.betti import assemble_m6
 from planemoduli.cli import _space_poly, _value_too_long, render_svg, run
 from planemoduli.exactmath import QPoly, grassmannian_poincare
 from planemoduli.walls import Wall
-from importpath import package_modules_after
+from importpath import loaded_after, package_modules
 from oracles import N6_COEFFICIENTS
 
 
@@ -610,4 +610,4 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.run({argv!r})
     """
-    assert package_modules_after(code) == {"cli", "errors", "exactmath"} | modules
+    assert package_modules(loaded_after(code)) == {"cli", "errors", "exactmath"} | modules

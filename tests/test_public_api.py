@@ -10,7 +10,7 @@ import types
 import pytest
 
 import planemoduli
-from importpath import package_modules_after
+from importpath import loaded_after, package_modules
 
 PUBLIC_NAMES = [
     "AmbiguousChamberError", "ChernP2", "ChowCurveP2", "ChowP2",
@@ -66,7 +66,7 @@ def test_unknown_names_raise_attribute_error():
 
 
 def test_bare_import_loads_no_submodule():
-    assert package_modules_after("import planemoduli") == set()
+    assert package_modules(loaded_after("import planemoduli")) == set()
 
 
 def test_submodule_resolves_after_a_bare_import():
@@ -74,5 +74,5 @@ def test_submodule_resolves_after_a_bare_import():
     import planemoduli
     assert planemoduli.walls.Wall is planemoduli.Wall
     """
-    assert package_modules_after(code) == {"chow", "divisors", "errors",
-                                           "exactmath", "ktheory", "walls"}
+    assert package_modules(loaded_after(code)) == {"chow", "divisors", "errors",
+                                                   "exactmath", "ktheory", "walls"}
