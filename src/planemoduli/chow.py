@@ -11,9 +11,8 @@ Riemann-Roch computation downstream is simply the coefficient of p h^2.
 
 A product of two curve classes multiplies integer numerators, each
 operand over the least common multiple of its six denominators, and
-builds one Fraction per coefficient; exp_class builds its six from the
-numerators and denominators of alpha and beta.  Products on the plane
-alone, and with a scalar, keep the Fraction arithmetic.
+builds one Fraction per coefficient.  Products on the plane alone, and
+with a scalar, keep the Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -108,10 +107,7 @@ def exp_class(alpha: Scalar, beta: Scalar) -> ChowCurveP2:
     zero and h^3 vanishes.
     """
     a, b = _frac(alpha), _frac(beta)
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    return ChowCurveP2._make(Fraction(1), b, Fraction(bn * bn, 2 * bd * bd), a,
-                             Fraction(an * bn, ad * bd),
-                             Fraction(an * bn * bn, 2 * ad * bd * bd))
+    return ChowCurveP2._make(Fraction(1), b, b * b / 2, a, a * b, a * b * b / 2)
 
 
 def todd_relative() -> ChowCurveP2:

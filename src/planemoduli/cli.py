@@ -3,7 +3,8 @@
 Every number printed by this interface is produced by exact arithmetic and
 serialized as an integer or a "num/den" rational; floating point only ever
 appears in SVG coordinates, rounded at the moment of rendering.  Identical
-argument vectors produce identical bytes.
+argument vectors produce identical bytes on every supported interpreter:
+the package, not argparse, words an invalid choice and a leading "--".
 
 Each command returns its output and never prints: under --json the payload
 dict, otherwise its text (the walls table as lines, every cell rendered
@@ -44,9 +45,18 @@ class _UsageError(Exception):
     pass
 
 
+def _invalid_choice(value: str, choices) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
+
+    # overridden: argparse's wording of an invalid choice changes between releases
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
 
 
 _FAMILY_BY_FLAG = {"pencil": "pencil", "jacobian": "jacobian",
@@ -326,6 +336,8 @@ def run(argv: list[str]) -> int:
     """Parse arguments, dispatch, print the result and map failures to exit codes."""
     parser = _build_parser()
     try:
+        if argv[:1] == ["--"]:  # newer argparse releases skip it, older refuse it
+            parser.error(f"argument command: {_invalid_choice('--', _COMMANDS)}")
         args = parser.parse_args(_join_value_flags(argv))
         result = _COMMANDS[args.command](args)
         if isinstance(result, dict):

@@ -18,6 +18,8 @@ ch(family) * Td * ch(w) instead of its one p h^2 coefficient.  Td * ch,
 the two Euler pairings, the orthogonal wall class, its divisor, the
 truncated exponential and the four test families are also kept in
 Fractions, step by step, against the library's integer numerators.
+rand_chern draws the random Chern characters that several test modules
+share.
 """
 
 from fractions import Fraction
@@ -235,6 +237,13 @@ def intersection_degree_by_full_product(fam: FamilyClass, w: ChernP2) -> Fractio
     total = chow_product_by_parts(chow_product_by_parts(fam.chern, todd_relative()),
                                   pullback)
     return coeff(total, "ph2")
+
+
+def rand_chern(rng) -> ChernP2:
+    """A random Chern character with |r| <= 3 and |c| <= 5, integral 2 ch_2."""
+    r = rng.randint(-3, 3)
+    c = rng.randint(-5, 5)
+    return ChernP2(r, c, Fraction(c * c, 2) + rng.randint(-6, 6))
 
 
 def td_ch_by_fractions(v: ChernP2) -> tuple[int, Fraction, Fraction]:

@@ -25,19 +25,13 @@ from planemoduli.ktheory import (ChernP2, dual, euler_hom, euler_product,
 from planemoduli.walls import (Wall, abch_reference_walls, locate_model,
                                transform_walls, wall_between)
 from oracles import (M6_EXT_DIMS, M6_FACTOR_COEFFICIENTS, M6_TABLE,
-                     N6_COEFFICIENTS, hilb_fixed_point_poincare)
+                     N6_COEFFICIENTS, hilb_fixed_point_poincare, rand_chern)
 
 RUNS = 120
 
 
 def _report(number: int, text: str):
     print(f"ACCEPTANCE {number:02d} PASS: {text}")
-
-
-def _rand_chern(rng) -> ChernP2:
-    r = rng.randint(-3, 3)
-    c = rng.randint(-5, 5)
-    return ChernP2(r, c, Fraction(c * c, 2) + rng.randint(-6, 6))
 
 
 def test_criterion_01_table_reproduction():
@@ -153,7 +147,7 @@ def test_criterion_11_property_suites():
 
     # pairing symmetry and bilinearity
     for _ in range(RUNS):
-        u, v, w = (_rand_chern(rng) for _ in range(3))
+        u, v, w = (rand_chern(rng) for _ in range(3))
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         assert euler_product(v, w) == euler_product(w, v)
         assert euler_hom(v, w) == euler_product(dual(v), w)
@@ -166,7 +160,7 @@ def test_criterion_11_property_suites():
     # twist, dual, and shift equivariance of walls
     done = 0
     while done < RUNS:
-        v, w = _rand_chern(rng), _rand_chern(rng)
+        v, w = rand_chern(rng), rand_chern(rng)
         try:
             wall = wall_between(v, w)
         except (NoWallError, EmptyWallError):
@@ -191,7 +185,7 @@ def test_criterion_11_property_suites():
                             Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
                             rng.randint(-9, 9), 0, 0, 0)
         bumped = FamilyClass(fam.chern + noise, fam.label, fam.degree_d)
-        w = _rand_chern(rng)
+        w = rand_chern(rng)
         assert intersection_degree(bumped, w) == intersection_degree(fam, w)
 
     # linearity of the determinant-divisor decomposition

@@ -61,7 +61,7 @@ class TestAgainstPartsProduct:
 
 
 class TestIntegerNumerators:
-    """Products on integer numerators and exp_class against Fraction forms."""
+    """Products on integer numerators, and exp_class, against Fraction forms."""
 
     def test_products_with_wide_denominators_and_zero_fields(self):
         rng = random.Random(1905)

@@ -2,18 +2,16 @@
 
 The first two tests read cli_digest's one draw of 600 argv of seed
 2013.  Each argv must end with exit 0, 1 or 2 and print no traceback,
-and its bytes and exit code are pinned by digest.  Legitimate but slow
-inputs are drawn from bounded ranges (walls up to degree 40,
+and the stdout, stderr and exit codes of all of them are pinned by one
+digest each, the same on every supported interpreter.  Legitimate but
+slow inputs are drawn from bounded ranges (walls up to degree 40,
 Grassmannians up to n = 24) so the draw stays under two seconds; the
 Kronecker shapes cover the full range the guards accept and beyond.
 SVG output goes to os.devnull.
 """
 
-import argparse
 import subprocess
 import sys
-
-import pytest
 
 import cli_digest
 
@@ -31,39 +29,18 @@ def test_every_argv_ends_with_an_exit_code():
 
 #: sha256 digests of cli_digest.digests(2013, 600), recorded when this
 #: test was written; a change to the bytes or the exit code of any of
-#: those argv must update them and say why.  Only the stderr digest
-#: depends on the interpreter: newer argparse releases (3.13.13, not
-#: 3.13.0) print the choices of an invalid choice unquoted and drop a
-#: "--" in front of the subcommand, so it is keyed by _argparse_wording
+#: those argv must update them and say why.  They are the same on every
+#: supported interpreter: the package, not argparse, words an invalid
+#: choice and a leading "--", where argparse's releases differ
 CLI_DIGESTS = {
     "stdout": "70fad2d0789ef7aa73c783005c96d27d94acfd60937260ff7f8cdf916f2e2197",
+    "stderr": "e9fd44eeb4958a124fbbb6791cc9002644d4d344b4f73d9c2e1dcd29b40aaec9",
     "codes": "0281f6cb35444a20adbd1d3bd31f3a9218702540872b6ffe221c816c57421d90",
 }
-STDERR_DIGESTS = {
-    (True, True): "e9fd44eeb4958a124fbbb6791cc9002644d4d344b4f73d9c2e1dcd29b40aaec9",
-    (False, False): "0f333db47798617d0c7e721faf35f6228d13f7dee4fdef5aceb2d06bf9ab383f",
-}
-
-
-def _argparse_wording() -> tuple[bool, bool]:
-    """Whether this interpreter's argparse quotes the choices of an invalid
-    subcommand, and whether it keeps a "--" in front of the subcommand."""
-    parser = argparse.ArgumentParser(exit_on_error=False)
-    parser.add_subparsers(dest="command").add_parser("a")
-    with pytest.raises(argparse.ArgumentError) as invalid:
-        parser.parse_args(["b"])
-    keeps_dashes = False
-    try:
-        parser.parse_args(["--", "a"])
-    except argparse.ArgumentError:
-        keeps_dashes = True
-    return "'a'" in str(invalid.value), keeps_dashes
 
 
 def test_cli_bytes_are_pinned():
-    found = cli_digest.digests(2013, 600)
-    assert {"stdout": found["stdout"], "codes": found["codes"]} == CLI_DIGESTS
-    assert found["stderr"] == STDERR_DIGESTS[_argparse_wording()]
+    assert cli_digest.digests(2013, 600) == CLI_DIGESTS
 
 
 def test_digest_script_runs_without_site_packages():

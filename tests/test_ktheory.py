@@ -8,15 +8,8 @@ from planemoduli.ktheory import (ChernP2, _td_ch, _td_ch2, dual, euler_hom,
                                  euler_product, hilbert_polynomial,
                                  ideal_twisted, line_bundle, line_support,
                                  moduli, parse_chern, point, shift, twist)
-from oracles import (euler_hom_by_fractions, euler_product_by_fractions,
+from oracles import (euler_hom_by_fractions, euler_product_by_fractions, rand_chern,
                      td_ch_by_fractions)
-
-
-def rand_chern(rng) -> ChernP2:
-    r = rng.randint(-3, 3)
-    c = rng.randint(-5, 5)
-    e = Fraction(c * c, 2) + rng.randint(-6, 6)
-    return ChernP2(r, c, e)
 
 
 class TestConstructors:

@@ -12,14 +12,7 @@ from planemoduli.ktheory import ChernP2, dual, line_bundle, moduli, shift, twist
 from planemoduli.walls import (Wall, abch_reference_walls,
                                enumerate_potential_walls, locate_model,
                                transform_walls, wall_between)
-from oracles import potential_walls_by_search
-
-
-def rand_chern(rng) -> ChernP2:
-    r = rng.randint(-3, 3)
-    c = rng.randint(-5, 5)
-    e = Fraction(c * c, 2) + rng.randint(-6, 6)
-    return ChernP2(r, c, e)
+from oracles import potential_walls_by_search, rand_chern
 
 
 def rand_wall_pair(rng) -> tuple[ChernP2, ChernP2, Wall]:
