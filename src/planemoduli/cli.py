@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import PlaneModuliError
@@ -31,7 +32,6 @@ from .exactmath import parse_int, parse_rational
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
-    from fractions import Fraction
 
     from .exactmath import QPoly
     from .walls import Wall
@@ -50,6 +50,10 @@ def _invalid_choice(value: str, choices) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, parse_int)  # type=int runs parse_int; errors say "int"
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
 
@@ -70,17 +74,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_walls = sub.add_parser("walls", help="potential and actual walls for a degree")
-    p_walls.add_argument("--degree", type=parse_int, required=True)
+    p_walls.add_argument("--degree", type=int, required=True)
     p_walls.add_argument("--json", action="store_true")
     p_walls.add_argument("--svg", metavar="FILE")
 
     for name in ("nef", "effective"):
         p = sub.add_parser(name, help=f"{name} cone generators")
-        p.add_argument("--degree", type=parse_int, required=True)
+        p.add_argument("--degree", type=int, required=True)
         p.add_argument("--json", action="store_true")
 
     p_div = sub.add_parser("divisor", help="wall divisor for a destabilizer")
-    p_div.add_argument("--degree", type=parse_int, required=True)
+    p_div.add_argument("--degree", type=int, required=True)
     p_div.add_argument("--destabilizer", required=True, metavar="r,c,e")
     p_div.add_argument("--json", action="store_true")
 
@@ -88,7 +92,7 @@ def _build_parser() -> _Parser:
                                              "class with a test family")
     p_int.add_argument("--family", required=True,
                        choices=list(_FAMILY_BY_FLAG))
-    p_int.add_argument("--degree", type=parse_int, required=True)
+    p_int.add_argument("--degree", type=int, required=True)
     p_int.add_argument("--w", required=True, metavar="r,c,e")
     p_int.add_argument("--json", action="store_true")
 
@@ -112,32 +116,29 @@ def _cmd_walls(args) -> dict | Iterator[str]:
     from . import divisors, ktheory, walls
 
     d = args.degree
-    candidates = walls.enumerate_potential_walls(d)
-    # destabilizers of walls known to be actual, from curated tables
+    x0, s, keys = walls._wall_keys(d)
+    # destabilizers of walls known to be actual, from curated tables, by (r, c, 2 ch_2)
     if d == 6:
         from . import betti
 
         actual = {rec.destabilizer for rec in betti.m6_wall_records()}
     else:
         actual = {divisors.first_wall_destabilizer(d)}
-    actual.add(ktheory.line_bundle(0))
-    rows = [(c, w, divisors.wall_divisor(d, c) if c in actual else None)
-            for c, w in candidates]
+    divisor = {(v.r, v.c, ktheory._twice_ch2(v)): divisors.wall_divisor(d, v)
+               for v in (*actual, ktheory.line_bundle(0))}
+    rows = [(str(Fraction(-key, s)), f"1,{c},{Fraction(c * c - 2 * n, 2)}",
+             divisor.get((1, c, c * c - 2 * n))) for key, c, n in keys]
     if args.svg is not None:
-        render_svg([w for _, w, _ in rows], args.svg)
+        render_svg([w for _, w in walls.enumerate_potential_walls(d)], args.svg)
+    center = str(x0)
     if args.json:
-        return {
-            "degree": d,
-            "walls": [{
-                "center": str(w.center), "radius_sq": str(w.radius_sq),
-                "destabilizer": str(c), "actual": div is not None,
-                "divisor": None if div is None else div.to_json(),
-            } for c, w, div in rows],
-        }
+        return {"degree": d, "walls": [{
+            "center": center, "radius_sq": rsq, "destabilizer": cand,
+            "actual": div is not None, "divisor": None if div is None else div.to_json(),
+        } for rsq, cand, div in rows]}
     header = ("center", "radius_sq", "destabilizer", "status", "divisor")
-    table = [header, *((str(w.center), str(w.radius_sq), str(c),
-                        "potential" if div is None else "actual",
-                        "-" if div is None else str(div)) for c, w, div in rows)]
+    table = [header, *((center, rsq, cand, "potential" if div is None else "actual",
+                        "-" if div is None else str(div)) for rsq, cand, div in rows)]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     # one line at a time: the joined table of a large degree is megabytes
     return ("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
@@ -196,15 +197,15 @@ def _space_poly(spec: str) -> QPoly:
     head, *rest = spec.split(":")
     try:
         nums = [parse_int(s) for s in rest]
-    except ValueError as exc:
-        raise _UsageError(f"bad space parameters in {spec!r}") from exc
+    except ValueError:
+        raise _UsageError(f"planemoduli betti: error: bad space parameters in {spec!r}")
     if head == "hilb" and len(nums) in (1, 2):
         return betti.hilb_model_poincare(nums[0], nums[1] if len(nums) == 2 else 0)
     if head == "kronecker" and len(nums) == 3:
         return betti.kronecker_poincare(nums[0], (nums[1], nums[2]))
     if head == "gr" and len(nums) == 2:
         return grassmannian_poincare(nums[0], nums[1])
-    raise _UsageError(f"unknown space {spec!r}")
+    raise _UsageError(f"planemoduli betti: error: unknown space {spec!r}")
 
 
 def _at_least(base: int, n: int, bound: int) -> bool:

@@ -22,8 +22,8 @@ from .ktheory import ChernP2
 
 
 #: largest degree enumerated: candidates grow like d^3, and d = 200 has 176,452,
-#: 0.52-0.81 s in-process; a cold `walls --degree 200` takes 2.8-3.3 s at a peak
-#: RSS of 125-126 MB, 2.1-2.5 s and 145 MB with --json (10 runs each, Python
+#: 0.52-0.81 s in-process; a cold `walls --degree 200` takes 1.6-2.3 s at a peak
+#: RSS of 87 MB, 1.3-1.9 s and 143-144 MB with --json (12 runs each, Python
 #: 3.11.7 without bytecode files, 2-vCPU x86-64 VM)
 MAX_WALL_DEGREE = 200
 
@@ -96,9 +96,13 @@ def _wall_keys(d: int) -> tuple[Fraction, int, list[tuple[int, int, int]]]:
     Each candidate I_Z(c) = (1, c, c^2/2 - n) is the triple (key, c, n) with
     key = -s r^2, an integer: scaled by s, r^2 = (x0 - c)^2 - 2n is
     t^2 - 2 s n with t = 2 d (x0 - c).  Sorting the triples sorts the
-    candidates by descending r^2.  No degree check: see
-    enumerate_potential_walls.
+    candidates by descending r^2.
     """
+    if d < 3:
+        raise DomainError("potential wall enumeration needs degree >= 3")
+    if d > MAX_WALL_DEGREE:
+        raise DomainError(f"potential wall enumeration is limited to degree "
+                          f"<= {MAX_WALL_DEGREE}")
     v = ktheory.moduli(d)  # rank 0: one center for every candidate
     collapsing = wall_between(v, ktheory.line_bundle(0))
     x0, s = collapsing.center, 4 * d * d
@@ -111,6 +115,8 @@ def _wall_keys(d: int) -> tuple[Fraction, int, list[tuple[int, int, int]]]:
         n_max = math.floor((tt - s_lo) / (2 * s))
         keys.extend((2 * s * n - tt, c, n) for n in range(n_min, n_max + 1))
     keys.sort()
+    if keys and keys[-1][0] >= 0:  # the innermost wall is empty: Wall raises
+        Wall(x0, Fraction(-keys[-1][0], s))
     return x0, s, keys
 
 
@@ -124,15 +130,7 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     by descending r^2, so candidates sharing a wall are adjacent.  Potential
     walls only: whether one is actual is curated data, not a numeric test.
     """
-    if d < 3:
-        raise DomainError("potential wall enumeration needs degree >= 3")
-    if d > MAX_WALL_DEGREE:
-        raise DomainError(f"potential wall enumeration is limited to degree "
-                          f"<= {MAX_WALL_DEGREE}")
     x0, s, keys = _wall_keys(d)
-    if keys and keys[-1][0] >= 0:
-        raise EmptyWallError(f"squared radius must be positive, got "
-                             f"{Fraction(-keys[-1][0], s)}")
     # built unchecked, being valid by construction: n >= 0, ch_2 = (c^2 - 2n)/2
     # makes c_2 integral, and every key is negative, so every radius_sq is
     # positive; the few distinct ch_2 values are shared.  The fields are

@@ -3,11 +3,13 @@ import json
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from planemoduli import betti, divisors, ktheory, walls
 from planemoduli.betti import assemble_m6
-from planemoduli.cli import _space_poly, _value_too_long, render_svg, run
+from planemoduli.cli import _cmd_walls, _space_poly, _value_too_long, render_svg, run
 from planemoduli.exactmath import QPoly, grassmannian_poincare
 from planemoduli.walls import Wall
 from importpath import loaded_after, package_modules
@@ -42,7 +44,12 @@ class TestExitCodes:
         ("euler --v 1,0,0 --w 1,0,0 --pairing x",
          "planemoduli euler: error: argument --pairing: invalid choice: 'x' "
          "(choose from 'product', 'hom')"),
-    ], ids=["frobnicate", "leading-dashes", "family", "pairing"])
+        ("nef --degree x", "planemoduli nef: error: argument --degree: invalid int value: 'x'"),
+        ("betti --space M7", "planemoduli betti: error: unknown space 'M7'"),
+        ("betti --space gr:a:3",
+         "planemoduli betti: error: bad space parameters in 'gr:a:3'"),
+    ], ids=["frobnicate", "leading-dashes", "family", "pairing", "int", "space",
+            "space-parameters"])
     def test_usage_error_on_unknown_command(self, capsys, argv, err):
         assert run_capture(capsys, argv.split()) == (1, "", err + "\n")
 
@@ -286,6 +293,16 @@ class TestSvg:
         assert body.count("<path") == 9
         assert body.startswith("<svg")
 
+    # sha256 of whole files: the picture is the one output drawn from Wall values
+    @pytest.mark.parametrize("d, digest", [
+        (6, "93eb37633d7c35ec7b3a5608a0623df136433cd97bc170900566cb0b1a92136d"),
+        (60, "71151a7a730e8235f24f3b42801d537b897848383b292dda67bbdf4ab9eca814"),
+    ])
+    def test_svg_bytes(self, tmp_path, capsys, d, digest):
+        target = tmp_path / "walls.svg"
+        assert run_capture(capsys, ["walls", "--degree", str(d), "--svg", str(target)])[0] == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"
@@ -500,6 +517,8 @@ WALLS_DIGESTS = [
      "123ef98acc73a8b494187c42a7d79154df32c6f48a970cc03eac13e6a2b97ab4"),
     (["walls", "--degree", "200"],
      "b6f1116162c9b47860b054081a35d4a9bd34a3296b7caf1fb4634d92dcc389e2"),
+    (["walls", "--degree", "200", "--json"],
+     "e014a776896489741c43e3d085dfa6ff445eabdb58329b8e0436b9c2053c7b7f"),
 ]
 
 
@@ -509,6 +528,46 @@ class TestWallsDigests:
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run_capture(capsys, argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+class TestWallsAgainstLibrary:
+    def test_json_rows_match_the_enumeration(self):
+        # the command formats its rows from the integer wall keys, and the
+        # library decodes the same keys into values on a route of its own;
+        # the payload is called for directly, as the digests cover its bytes
+        for d in range(3, 61):
+            if d == 6:
+                curated = {rec.destabilizer for rec in betti.m6_wall_records()}
+            else:
+                curated = {divisors.first_wall_destabilizer(d)}
+            curated.add(ktheory.line_bundle(0))
+            args = SimpleNamespace(degree=d, json=True, svg=None)
+            rows = _cmd_walls(args)["walls"]
+            pairs = walls.enumerate_potential_walls(d)
+            assert [(row["center"], row["radius_sq"], row["destabilizer"])
+                    for row in rows] == \
+                [(str(w.center), str(w.radius_sq), str(c)) for c, w in pairs]
+            assert [(row["actual"], row["divisor"]) for row in rows] == \
+                [(True, divisors.wall_divisor(d, c).to_json()) if c in curated
+                 else (False, None) for c, _ in pairs]
+            assert sum(row["actual"] for row in rows) == len(curated)
+
+    @pytest.mark.parametrize("d, divisors_built", [(6, 7), (60, 2)])
+    def test_only_the_picture_builds_wall_values(self, capsys, monkeypatch, d,
+                                                 divisors_built):
+        # no ChernP2 or Wall per candidate: the enumeration that builds them
+        # is not called, and wall_divisor runs once per curated class
+        def no_enumeration(degree):
+            raise AssertionError("walls were enumerated as values")
+
+        built, real = [], divisors.wall_divisor
+        monkeypatch.setattr(walls, "enumerate_potential_walls", no_enumeration)
+        monkeypatch.setattr(divisors, "wall_divisor",
+                            lambda degree, v: built.append(v) or real(degree, v))
+        for extra in ([], ["--json"]):
+            built.clear()
+            assert run_capture(capsys, ["walls", "--degree", str(d), *extra])[0] == 0
+            assert len(built) == divisors_built
 
 
 TOO_MANY_DIGITS = "error: the result has too many digits to print\n"

@@ -34,7 +34,7 @@ def test_every_argv_ends_with_an_exit_code():
 #: choice and a leading "--", where argparse's releases differ
 CLI_DIGESTS = {
     "stdout": "70fad2d0789ef7aa73c783005c96d27d94acfd60937260ff7f8cdf916f2e2197",
-    "stderr": "e9fd44eeb4958a124fbbb6791cc9002644d4d344b4f73d9c2e1dcd29b40aaec9",
+    "stderr": "ada145a8229c7d35ed6538f3f050a7eb8fd7bd2c8e910d3068cb293e54cf369b",
     "codes": "0281f6cb35444a20adbd1d3bd31f3a9218702540872b6ffe221c816c57421d90",
 }
 
