@@ -24,7 +24,8 @@ tuple's P_W is the AND of its matrices' masks and has p^d elements.
 
 What is shared: the masks of each W, one per matrix, and, for the
 innermost free matrices, one verdict bitset per W and per mask reached so
-far, built once from the groups of matrices with identical masks.  What
+far, built once as bytes from the groups of matrices with identical
+masks, each free matrix's block of verdicts padded to whole bytes.  What
 is not: there is no orbit weighting beyond the rank normal form of the
 first matrix.  Every tuple still gets its own verdict, one bit of the AND
 over W of these bitsets, and the count is a popcount.
@@ -33,9 +34,12 @@ over W of these bitsets, and the count is a popcount.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import itemgetter
 
 #: widest verdict bitset, in tuples of free matrices; free matrices beyond
-#: it are enumerated one at a time, which bounds the memory
+#: it are enumerated one at a time, which bounds the memory.  Padding each
+#: block of nmat >= 2 verdicts to whole bytes makes a bitset at most 4 times
+#: as many bits wide (nmat = 2: one byte per two tuples)
 TUPLE_BITS = 1 << 20
 
 
@@ -104,39 +108,55 @@ class _Preimages:
     """Preimage masks of one proper subspace W under every free matrix.
 
     Free matrices are numbered by position in one fixed order shared by
-    every W.  A tuple of depth matrices (t_1, ..., t_depth), t_1 the
-    outermost, is bit sum_i t_i nmat^(depth - i) of a verdict bitset.
+    every W.  A verdict block of depth 1 holds bit t for free matrix t in
+    (nmat + 7) // 8 big-endian bytes, padding bits 0, and one of depth k
+    joins nmat blocks of depth k - 1, the last free matrix first.  Every W
+    shares this layout, so the bitsets int.from_bytes(block, "big") of a
+    tuple's depth free matrices AND bit by bit.
     """
 
     def __init__(self, need: int, masks: list[int], nmat: int):
         self.need = need  # a preimage with this many vectors destabilizes
         self.masks = masks
-        self.nmat = nmat
         groups = {}
-        self.which = [groups.setdefault(mask, len(groups)) for mask in reversed(masks)]
+        which = [groups.setdefault(mask, len(groups)) for mask in reversed(masks)]
         self.distinct = list(groups)
-        self.texts = {}
+        # picks from a list by group one entry per padding bit of a depth-1
+        # block (entry len(groups)), then one per free matrix, the last first
+        self.spread = itemgetter(*[len(groups)] * (-nmat % 8), *which) if masks else None
+        self.blocks = {}
         self.bitsets = {}
 
-    def verdicts(self, state: int, depth: int) -> str:
-        """'1' or '0' per tuple of depth free matrices, the last tuple first:
-        whether the tuple keeps this W's preimage, from state on, stable."""
-        if state.bit_count() < self.need:
-            return "1" * self.nmat ** depth
+    def verdicts(self, state: int, depth: int) -> bytes:
+        """Verdict block of the tuples of depth free matrices: a bit is set
+        where the tuple keeps this W's preimage, from state on, stable.
+        Depth 0 is asked only of a destabilizing state: its block is empty.
+        """
         if depth == 0:
-            return "0"
+            return b""
+        if state.bit_count() < self.need:
+            state = 0  # every tuple stays stable: one full block per depth
         key = state, depth
-        text = self.texts.get(key)
-        if text is None:
-            parts = [self.verdicts(state & mask, depth - 1) for mask in self.distinct]
-            text = self.texts[key] = "".join([parts[i] for i in self.which])
-        return text
+        block = self.blocks.get(key)
+        if block is None:
+            if depth == 1:
+                # one byte per bit, packed eight to a byte: every 8th byte
+                # from the k-th gives bit 7 - k of every byte of the block
+                flags = bytes(self.spread([(state & mask).bit_count() < self.need
+                                           for mask in self.distinct] + [False]))
+                bits = sum(int.from_bytes(flags[k::8], "big") << 7 - k for k in range(8))
+                block = bits.to_bytes(len(flags) // 8, "big")
+            else:
+                parts = [self.verdicts(state & mask, depth - 1) for mask in self.distinct]
+                block = b"".join(self.spread(parts + [b""]))
+            self.blocks[key] = block
+        return block
 
     def bitset(self, state: int, depth: int) -> int:
         key = state, depth
         bits = self.bitsets.get(key)
         if bits is None:
-            bits = self.bitsets[key] = int(self.verdicts(state, depth), 2)
+            bits = self.bitsets[key] = int.from_bytes(self.verdicts(state, depth), "big")
         return bits
 
 

@@ -243,6 +243,9 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
 # ---------------------------------------------------------------------------
 # Finite-field brute force
 
+#: largest m e f enumerated; the slowest shape the guards accept, N(2; 9, 1)
+#: at p = 3 and its transpose, takes about 0.4 s and 60 MB in one process
+#: (2-vCPU VM, Python 3.11.7; BENCH_25.json, extreme_shapes)
 MAX_BRUTE_FORCE_EXPONENT = 20
 
 #: widest preimage bitmask, one bit per vector of the larger space; with

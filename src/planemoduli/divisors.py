@@ -160,9 +160,17 @@ def nef_generators(d: int) -> tuple[DivisorAL, DivisorAL]:
 
 
 def effective_generators(d: int) -> tuple[DivisorAL, DivisorAL]:
-    """Generators (A, L) of the extremal rays of the effective cone."""
+    """Generators (A, L) of the extremal rays of the effective cone.
+
+    L is computed from the collapsing wall, where O destabilizes the
+    moduli class, and must agree with the constant L_DIVISOR.
+    """
     if d < 3:
         raise DomainError("effective cone generators need degree >= 3")
+    l = wall_divisor(d, ktheory.line_bundle(0))
+    if l != L_DIVISOR:
+        raise ConventionError(
+            f"collapsing-wall divisor {l} disagrees with L at degree {d}")
     return A_DIVISOR, L_DIVISOR
 
 

@@ -115,8 +115,6 @@ def _wall_keys(d: int) -> tuple[Fraction, int, list[tuple[int, int, int]]]:
         n_max = math.floor((tt - s_lo) / (2 * s))
         keys.extend((2 * s * n - tt, c, n) for n in range(n_min, n_max + 1))
     keys.sort()
-    if keys and keys[-1][0] >= 0:  # the innermost wall is empty: Wall raises
-        Wall(x0, Fraction(-keys[-1][0], s))
     return x0, s, keys
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from planemoduli import divisors, ktheory
 from planemoduli.chow import ChowCurveP2
 from planemoduli.divisors import (A_DIVISOR, L_DIVISOR, DivisorAL, FamilyClass,
                                   a_class, d_class, d_in_AL,
@@ -11,7 +12,7 @@ from planemoduli.divisors import (A_DIVISOR, L_DIVISOR, DivisorAL, FamilyClass,
                                   intersection_degree, lambda_decompose,
                                   nef_generators, orthogonal_wall_class,
                                   wall_divisor)
-from planemoduli.errors import DomainError
+from planemoduli.errors import ConventionError, DomainError
 from planemoduli.ktheory import (ChernP2, euler_product, ideal_twisted,
                                  line_bundle, moduli, point)
 from oracles import (family_class_by_fractions,
@@ -142,6 +143,18 @@ class TestWallDivisor:
             assert wall_divisor(6, destab) == DivisorAL(a_coeff, 1)
 
 
+def wall_class_off_by_a_point(real):
+    # the point class is orthogonal to the moduli class: only A moves
+    return lambda v, w: real(v, w) + point()
+
+
+def todd_class_without_its_h2_term(real):
+    def drifted(v):
+        t0, t1, t2 = real(v)
+        return t0, t1, t2 - 2 * v.r
+    return drifted
+
+
 class TestCones:
     def test_nef_examples(self):
         assert nef_generators(6) == (A_DIVISOR, DivisorAL(16, 1))
@@ -158,6 +171,16 @@ class TestCones:
         for d in range(3, 13):
             assert effective_generators(d) == (A_DIVISOR, L_DIVISOR)
             assert wall_divisor(d, line_bundle(0)) == L_DIVISOR
+
+    @pytest.mark.parametrize("module, name, drift", [
+        (divisors, "orthogonal_wall_class", wall_class_off_by_a_point),
+        (ktheory, "_td_ch2", todd_class_without_its_h2_term),
+    ], ids=["wall-class", "td-ch2"])
+    def test_effective_generators_catch_drift(self, monkeypatch, module, name, drift):
+        monkeypatch.setattr(module, name, drift(getattr(module, name)))
+        for d in (3, 6, 7):
+            with pytest.raises(ConventionError, match="collapsing-wall divisor"):
+                effective_generators(d)
 
     def test_degree_bounds(self):
         with pytest.raises(DomainError):

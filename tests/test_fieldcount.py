@@ -1,8 +1,9 @@
 """The finite-field oracle against plain enumeration and the recursion.
 
 Its rank weights are checked against enumeration, against the Gaussian
-binomial form and against their total, and its module against importing
-anything from the package.
+binomial form and against their total, its verdict bitsets against their
+padded byte layout, and its module against importing anything from the
+package.
 
 Also checks that json, which only --json output needs, and dataclasses,
 inspect and numpy, which nothing needs, stay off the import path of the
@@ -51,14 +52,66 @@ def test_oracle_matches_enumeration_and_recursion(m, e, f, p):
         assert count == betti.kronecker_poincare(m, (e, f))(p)
 
 
-@pytest.mark.parametrize("inner", [0, 1])
-@pytest.mark.parametrize("m, e, f, p", [(4, 2, 1, 3), (5, 1, 2, 3), (3, 3, 2, 2)])
+@pytest.mark.parametrize("inner", [0, 1, 2, 3])
+@pytest.mark.parametrize("m, e, f, p", [(4, 2, 1, 3), (5, 1, 2, 3), (3, 3, 2, 2),
+                                        (5, 1, 1, 3), (5, 2, 1, 2)])
 def test_enumerated_prefixes_match_the_bitsets(monkeypatch, m, e, f, p, inner):
     # verdict bitsets as wide as `inner` free matrices: the other free
-    # matrices are enumerated one prefix at a time
+    # matrices are enumerated one prefix at a time; with 3 or 4 matrices
+    # per free slot, blocks of depth 2 and 3 join padded bytes
     count = brute_force_kronecker_count(m, (e, f), p)
     monkeypatch.setattr(_fieldcount, "TUPLE_BITS", p ** (e * f * inner))
     assert brute_force_kronecker_count(m, (e, f), p) == count
+
+
+def recorded_bitsets(monkeypatch) -> list:
+    """(preimages, state, depth, bitset) of every bitset the oracle builds."""
+    built = []
+    bitset = _fieldcount._Preimages.bitset
+
+    def recorded(self, state, depth):
+        bits = bitset(self, state, depth)
+        built.append((self, state, depth, bits))
+        return bits
+
+    monkeypatch.setattr(_fieldcount._Preimages, "bitset", recorded)
+    return built
+
+
+@pytest.mark.parametrize("m, e, f, p", [(5, 1, 1, 3), (5, 2, 1, 2), (3, 2, 1, 5)])
+def test_bitsets_follow_the_documented_layout(monkeypatch, m, e, f, p):
+    # tuple (t_1, ..., t_k), t_1 the outermost, is bit
+    # t_k + 8 ceil(nmat / 8) (t_(k-1) + nmat t_(k-2) + ...), set when the
+    # tuple keeps the preimage stable; every other bit is 0
+    built = recorded_bitsets(monkeypatch)
+    brute_force_kronecker_count(m, (e, f), p)
+    nmat = p ** (e * f)
+    assert built
+    for sub, state, depth, bits in built:
+        expected = 0
+        for tup in product(range(nmat), repeat=depth):
+            preimage = state
+            for t in tup:
+                preimage &= sub.masks[t]
+            if preimage.bit_count() < sub.need:
+                place = 0
+                for t in tup[:-1]:
+                    place = place * nmat + t
+                expected |= 1 << tup[-1] + 8 * ((nmat + 7) // 8) * place
+        assert bits == expected
+
+
+def test_bitsets_stay_within_the_padded_width(monkeypatch):
+    # (3; 3, 2) at p = 3: bitsets of depth 2 over 729 free matrices, each
+    # block of 729 verdicts padded to 92 bytes
+    built = recorded_bitsets(monkeypatch)
+    assert brute_force_kronecker_count(3, (3, 2), 3) == 1327
+    nmat = 3 ** 6
+    tuples = int.from_bytes(((1 << nmat) - 1).to_bytes(92, "big") * nmat, "big")
+    assert built and {depth for _, _, depth, _ in built} == {2}
+    for *_, bits in built:
+        assert bits & ~tuples == 0
+        assert bits.bit_length() <= 4 * _fieldcount.TUPLE_BITS
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

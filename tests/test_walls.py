@@ -1,7 +1,6 @@
 import gc
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -111,19 +110,6 @@ class TestEnumeratePotentialWalls:
         assert {(type(cand.r), type(cand.c), type(cand.e), type(wall.center),
                  type(wall.radius_sq)) for cand, wall in found} == \
             {(int, int, Fraction, Fraction, Fraction)}
-
-    def test_nonpositive_radius_guard(self, monkeypatch):
-        real = walls.wall_between
-
-        def collapsing_inside_out(v, w):
-            wall = real(v, w)
-            if w == line_bundle(0):  # a collapsing wall of radius_sq -1
-                return SimpleNamespace(center=wall.center, radius_sq=Fraction(-1))
-            return wall
-
-        monkeypatch.setattr(walls, "wall_between", collapsing_inside_out)
-        with pytest.raises(EmptyWallError):
-            enumerate_potential_walls(6)
 
     def test_degree_too_small(self):
         with pytest.raises(DomainError):
