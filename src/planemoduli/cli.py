@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import PlaneModuliError
@@ -32,6 +31,7 @@ from .exactmath import parse_int, parse_rational
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
+    from fractions import Fraction
 
     from .exactmath import QPoly
     from .walls import Wall
@@ -116,7 +116,7 @@ def _cmd_walls(args) -> dict | Iterator[str]:
     from . import divisors, ktheory, walls
 
     d = args.degree
-    x0, s, keys = walls._wall_keys(d)
+    x0, s, tts, codes = walls._wall_keys(d)
     # destabilizers of walls known to be actual, from curated tables, by (r, c, 2 ch_2)
     if d == 6:
         from . import betti
@@ -126,8 +126,15 @@ def _cmd_walls(args) -> dict | Iterator[str]:
         actual = {divisors.first_wall_destabilizer(d)}
     divisor = {(v.r, v.c, ktheory._twice_ch2(v)): divisors.wall_divisor(d, v)
                for v in (*actual, ktheory.line_bundle(0))}
-    rows = [(str(Fraction(-key, s)), f"1,{c},{Fraction(c * c - 2 * n, 2)}",
-             divisor.get((1, c, c * c - 2 * n))) for key, c, n in keys]
+    shared = [(tt, math.gcd(tt, s)) for tt in tts]  # gcd(key, s) for all of c's keys
+    rows = []
+    for code in codes:
+        key, c = divmod(code, len(tts))
+        tt, g = shared[c]
+        m = c * c - (key + tt) // s  # 2 ch_2
+        rows.append((f"{-key // g}" if g == s else f"{-key // g}/{s // g}",
+                     f"1,{c},{m // 2}" if m % 2 == 0 else f"1,{c},{m}/2",
+                     divisor.get((1, c, m))))
     if args.svg is not None:
         render_svg([w for _, w in walls.enumerate_potential_walls(d)], args.svg)
     center = str(x0)

@@ -22,10 +22,13 @@ from .ktheory import ChernP2
 
 
 #: largest degree enumerated: candidates grow like d^3, and d = 200 has 176,452,
-#: 0.52-0.81 s in-process; a cold `walls --degree 200` takes 1.6-2.3 s at a peak
-#: RSS of 87 MB, 1.3-1.9 s and 143-144 MB with --json (12 runs each, Python
-#: 3.11.7 without bytecode files, 2-vCPU x86-64 VM)
+#: 0.33-0.55 s in-process; a cold `walls --degree 200` takes 1.2-1.7 s at a peak
+#: RSS of 72 MB, 0.75-1.4 s and 124-125 MB with --json (12 runs each, Python
+#: 3.11.7 without bytecode files, 2-vCPU x86-64 VM; BENCH_26.json)
 MAX_WALL_DEGREE = 200
+
+#: Fraction and its slot setters, bound at import, out of reach of a patched walls.Fraction
+_FRACTION_SLOTS = (Fraction, Fraction._numerator.__set__, Fraction._denominator.__set__)
 
 
 class Wall(_Value):
@@ -90,13 +93,13 @@ def wall_between(v: ChernP2, w: ChernP2) -> Wall:
     return Wall(x, radius_sq)
 
 
-def _wall_keys(d: int) -> tuple[Fraction, int, list[tuple[int, int, int]]]:
-    """The common center x0, the scale s = 4 d^2 and the sorted candidate keys.
+def _wall_keys(d: int) -> tuple[Fraction, int, list[int], list[int]]:
+    """The common center x0, the scale s = 4 d^2, tts[c] = t^2 and the sorted codes.
 
-    Each candidate I_Z(c) = (1, c, c^2/2 - n) is the triple (key, c, n) with
-    key = -s r^2, an integer: scaled by s, r^2 = (x0 - c)^2 - 2n is
-    t^2 - 2 s n with t = 2 d (x0 - c).  Sorting the triples sorts the
-    candidates by descending r^2.
+    Each candidate I_Z(c) = (1, c, c^2/2 - n) is the code key * w + c, with
+    w = d // 2 + 1 and key = -s r^2 = 2 s n - t^2 for t = 2 d (x0 - c), an
+    integer.  As 0 <= c < w, sorting the codes sorts by (key, c), which is by
+    descending r^2, and n = (key + t^2) / (2 s) follows from (key, c).
     """
     if d < 3:
         raise DomainError("potential wall enumeration needs degree >= 3")
@@ -105,17 +108,17 @@ def _wall_keys(d: int) -> tuple[Fraction, int, list[tuple[int, int, int]]]:
                           f"<= {MAX_WALL_DEGREE}")
     v = ktheory.moduli(d)  # rank 0: one center for every candidate
     collapsing = wall_between(v, ktheory.line_bundle(0))
-    x0, s = collapsing.center, 4 * d * d
+    x0, s, w = collapsing.center, 4 * d * d, d // 2 + 1
     s_lo = s * collapsing.radius_sq
     s_hi = s * wall_between(v, first_wall_destabilizer(d)).radius_sq
-    keys = []
-    for c in range(d // 2 + 1):
-        tt = int(2 * d * (x0 - c)) ** 2
+    tts, codes = [int(2 * d * (x0 - c)) ** 2 for c in range(w)], []
+    for c, tt in enumerate(tts):
         n_min = max(0, math.ceil((tt - s_hi) / (2 * s)))
         n_max = math.floor((tt - s_lo) / (2 * s))
-        keys.extend((2 * s * n - tt, c, n) for n in range(n_min, n_max + 1))
-    keys.sort()
-    return x0, s, keys
+        codes.extend(range((2 * s * n_min - tt) * w + c,
+                           (2 * s * n_max - tt) * w + c + 1, 2 * s * w))
+    codes.sort()
+    return x0, s, tts, codes
 
 
 def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
@@ -128,7 +131,11 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     by descending r^2, so candidates sharing a wall are adjacent.  Potential
     walls only: whether one is actual is curated data, not a numeric test.
     """
-    x0, s, keys = _wall_keys(d)
+    x0, s, tts, codes = _wall_keys(d)
+    w = len(tts)
+    # radius_sq = -key / s in lowest terms: key = 2 s n - t^2 makes gcd(key, s)
+    # = gcd(t^2, s) for every n, so each c has one g and one denominator s // g
+    shared = [(tt, math.gcd(tt, s), s // math.gcd(tt, s)) for tt in tts]
     # built unchecked, being valid by construction: n >= 0, ch_2 = (c^2 - 2n)/2
     # makes c_2 integral, and every key is negative, so every radius_sq is
     # positive; the few distinct ch_2 values are shared.  The fields are
@@ -136,6 +143,7 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     new = object.__new__
     set_r, set_c, set_e = ChernP2._setters
     set_center, set_radius_sq = Wall._setters
+    fraction, set_numerator, set_denominator = _FRACTION_SLOTS
     ch2: dict[int, Fraction] = {}
     found = []
     append = found.append
@@ -148,8 +156,10 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     if paused:
         gc.disable()
     try:
-        for key, c, n in keys:
-            m = c * c - 2 * n
+        for code in codes:
+            key, c = divmod(code, w)
+            tt, g, den = shared[c]
+            m = c * c - (key + tt) // s
             e = ch2.get(m)
             if e is None:
                 e = ch2[m] = Fraction(m, 2)
@@ -157,9 +167,12 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
             set_r(cand, 1)
             set_c(cand, c)
             set_e(cand, e)
+            rsq = new(fraction)
+            set_numerator(rsq, -key // g)
+            set_denominator(rsq, den)
             wall = new(Wall)
             set_center(wall, x0)
-            set_radius_sq(wall, Fraction(-key, s))
+            set_radius_sq(wall, rsq)
             append((cand, wall))
     finally:
         if paused:

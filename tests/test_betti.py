@@ -154,6 +154,20 @@ class TestKroneckerPoincare:
         finally:
             betti_module._hn_stack_count.cache_clear()
 
+    def test_count_drift_fails_the_palindrome_check(self, monkeypatch):
+        # one more point in every moduli count keeps the counts integral and
+        # the digit count right: only the palindrome test can catch it
+        from planemoduli import betti as betti_module
+        original = betti_module._hn_stack_count
+        original.cache_clear()
+        monkeypatch.setattr(betti_module, "_hn_stack_count",
+                            lambda m, e, f, q: original(m, e, f, q) + Fraction(1, q - 1))
+        try:
+            with pytest.raises(ConventionError, match=r"base-9 digits \[2, 1, 1\] "):
+                betti_module.kronecker_poincare(3, (2, 1))
+        finally:
+            original.cache_clear()
+
     def test_reflection_and_duality(self):
         # transposing the arrows swaps (e, f); reflecting at the sink and
         # then transposing maps (e, f) to (3e - f, e); both give isomorphic
@@ -267,6 +281,15 @@ class TestBruteForce:
     def test_three_two_at_two(self):
         assert brute_force_kronecker_count(3, (3, 2), 2) == \
             kronecker_poincare(3, (3, 2))(2)
+
+    def test_count_drift_fails_the_group_order_check(self, monkeypatch):
+        # one stable tuple too many is not a union of free orbits
+        from planemoduli import _fieldcount
+        original = _fieldcount.stable_tuples
+        monkeypatch.setattr(_fieldcount, "stable_tuples",
+                            lambda m, e, f, p: original(m, e, f, p) + 1)
+        with pytest.raises(ConventionError, match="not divisible by the group order"):
+            brute_force_kronecker_count(3, (2, 1), 2)
 
     @pytest.mark.parametrize("m, dv, message", [
         (0, (1, 1), "at least one arrow"), (3, (0, 0), "invalid"),

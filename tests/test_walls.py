@@ -1,10 +1,13 @@
 import gc
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from planemoduli import walls
+from planemoduli.divisors import first_wall_destabilizer
 from planemoduli.errors import (AmbiguousChamberError, DomainError,
                                 EmptyWallError, NoWallError)
 from planemoduli.ktheory import ChernP2, dual, line_bundle, moduli, shift, twist
@@ -110,6 +113,8 @@ class TestEnumeratePotentialWalls:
         assert {(type(cand.r), type(cand.c), type(cand.e), type(wall.center),
                  type(wall.radius_sq)) for cand, wall in found} == \
             {(int, int, Fraction, Fraction, Fraction)}
+        assert all(rsq.denominator > 0 and math.gcd(rsq.numerator, rsq.denominator) == 1
+                   for rsq in (wall.radius_sq for _, wall in found))
 
     def test_degree_too_small(self):
         with pytest.raises(DomainError):
@@ -120,16 +125,43 @@ class TestEnumeratePotentialWalls:
             enumerate_potential_walls(201)
 
 
+def traced(call):
+    """call()'s result, with its traced peak and kept memory in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, kept - before
+
+
 class TestWallKeys:
     @pytest.mark.parametrize("d", [*range(3, 31), 120])
     def test_one_sorted_negative_key_per_candidate(self, d):
-        x0, s, keys = walls._wall_keys(d)
-        assert all(key < 0 for key, _, _ in keys)
-        assert keys == sorted(keys)
+        x0, s, tts, codes = walls._wall_keys(d)
+        w = d // 2 + 1
+        assert tts == [(2 * d * (x0 - c)) ** 2 for c in range(w)]
+        decoded = [(key, c, (key + tts[c]) // (2 * s))
+                   for key, c in (divmod(code, w) for code in codes)]
+        assert all(key < 0 for key, _, _ in decoded)
+        assert codes == sorted(codes)
+        # every (key, c, n) between the collapsing and first walls, by search
+        lo = math.ceil(s * wall_between(moduli(d), line_bundle(0)).radius_sq)
+        hi = math.floor(s * wall_between(moduli(d), first_wall_destabilizer(d)).radius_sq)
+        assert decoded == sorted((2 * s * n - tt, c, n) for c, tt in enumerate(tts)
+                                 for n in range(tt // (2 * s) + 1)
+                                 if lo <= tt - 2 * s * n <= hi)
+        found, peak, kept = traced(lambda: enumerate_potential_walls(d))
         assert [(1, c, Fraction(c * c - 2 * n, 2), x0, Fraction(-key, s))
-                for key, c, n in keys] == \
+                for key, c, n in decoded] == \
             [(cand.r, cand.c, cand.e, wall.center, wall.radius_sq)
-             for cand, wall in enumerate_potential_walls(d)]
+             for cand, wall in found]
+        if d == 120:
+            # besides its result the enumeration holds about one int per
+            # candidate, not a tuple of three
+            assert peak <= 1.25 * kept
 
 
 class TestCollectorState:
