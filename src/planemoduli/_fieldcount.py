@@ -18,9 +18,10 @@ group order and no chain sum of the recursion it checks enters here.
 
 Sets are Python ints used as bitsets.  A preimage A^{-1}(W) is the
 intersection of the kernels of phi A over a basis phi of the annihilator
-of W, stored as a mask over the p^e vectors of F_p^e; each kernel mask is
-built once per line of functionals, since nonzero multiples share it.  A
-tuple's P_W is the AND of its matrices' masks and has p^d elements.
+of W, stored as a mask over the p^e vectors of F_p^e; nonzero multiples
+of a functional share one kernel int, and a head's kernels, which see
+f digits only, are tiled.  A tuple's P_W is the AND of its matrices'
+masks and has p^d elements.
 
 What is shared: the masks of each W, one per matrix, and, for the
 innermost free matrices, one verdict bitset per W and per mask reached so
@@ -43,47 +44,41 @@ from operator import itemgetter
 TUPLE_BITS = 1 << 20
 
 
-def _kernels(e: int, p: int):
-    """kernel(i): the kernel bitset of functional number i on F_p^e, memoised.
+def _kernels(p: int, levels: set[int]) -> dict[int, dict[int, int]]:
+    """kernels[j][psi]: the kernel bitset of psi on F_p^j, for j in levels.
 
-    Vector x is bit sum_j x_j p^j.  Each line of nonzero functionals is
-    scaled to its representative psi with first nonzero digit 1, and its
-    kernel is built digit by digit: classes(prefix)[r] holds the vectors
-    over the first len(prefix) digits whose partial dot product with psi
-    is r, shared by every psi with that prefix, and the last digit fills
-    only residue 0.
+    Vector x is bit sum_i x_i p^i and psi number sum_i psi_i p^i; psi is 0
+    or a line representative, whose first nonzero digit is 1.
+    classes[psi][s] holds the vectors with psi . x = s; level j's build
+    level j + 1's and are dropped, and the last level keeps residue 0 alone.
     """
-    by_index = {0: (1 << p ** e) - 1}
-    by_line = {}
-    by_prefix = {(): [1] + [0] * (p - 1)}
+    last, kernels = max(levels), {}
+    full, classes = 1, {}  # every vector of j digits; classes of psi != 0
+    for j in range(last + 1):
+        if j in levels:
+            kernels[j] = {0: full} | {psi: below[0] for psi, below in classes.items()}
+        if j == last:
+            return kernels
+        width, residues = p ** j, range(p if j + 1 < last else 1)
+        step = {width: [full << s * width for s in residues]}  # p^j . x = x_j
+        for psi, below in classes.items():
+            for a in range(p):  # psi + a p^j adds a x_j to psi . x
+                step[psi + a * width] = [sum(below[(s - a * c) % p] << c * width
+                                             for c in range(p)) for s in residues]
+        full, classes = (1 << p * width) - 1, step
 
-    def classes(prefix: tuple[int, ...]) -> list[int]:
-        found = by_prefix.get(prefix)
-        if found is None:
-            a, width = prefix[-1], p ** (len(prefix) - 1)
-            found = by_prefix[prefix] = [0] * p
-            for r, members in enumerate(classes(prefix[:-1])):
-                if members:
-                    for c in range(p):
-                        found[(r + a * c) % p] |= members << c * width
-        return found
 
-    def kernel(index: int) -> int:
-        mask = by_index.get(index)
-        if mask is None:
-            digits = [index // p ** j % p for j in range(e)]
-            inverse = pow(next(d for d in digits if d), -1, p)
-            line = tuple(d * inverse % p for d in digits)
-            mask = by_line.get(line)
-            if mask is None:
-                below, width = classes(line[:-1]), p ** (e - 1)
-                mask = 0
-                for c in range(p):
-                    mask |= below[-line[-1] * c % p] << c * width
-                by_line[line] = mask
-            by_index[index] = mask
-        return mask
-    return kernel
+def _lines(e: int, p: int) -> list[int]:
+    """The line representative of every functional on F_p^e, by number."""
+    norm, scale = [0], [0]  # scale: the first nonzero digit
+    # read from the second digit on only, where p^2 <= 2^16 keeps p small
+    inverse = [0] + [pow(s, -1, p) for s in range(1, p)] if e > 1 else []
+    for j in range(e):
+        width = p ** j
+        norm += [norm[i] + d * inverse[scale[i]] % p * width if i else width
+                 for d in range(1, p) for i in range(width)]
+        scale += [scale[i] or d for d in range(1, p) for i in range(width)]
+    return norm
 
 
 def _annihilator_bases(f: int, p: int):
@@ -195,20 +190,23 @@ def stable_tuples(m: int, e: int, f: int, p: int) -> int:
     if e < f:
         # transposing every matrix is a stability-preserving bijection
         e, f = f, e
-    kernel = _kernels(e, p)
     free = m - 1
     nmat = p ** (f * e)
+    kernels = _kernels(p, {f, e} if free else {f})
 
     # the preimage of W destabilizes once its dimension exceeds dim(W) e / f
     annihilators = list(_annihilator_bases(f, p))
+    if free and annihilators:
+        # one kernel mask per functional on F_p^e, shared along its line
+        kernel = [kernels[e][psi] for psi in _lines(e, p)]
     subspaces = []
     for w, phis in annihilators:
         masks = []
         if free:
             images = [_images(phi, e, p) for phi in phis]
-            masks = [kernel(i) for i in images[0]]
+            masks = [kernel[i] for i in images[0]]
             for other in images[1:]:
-                masks = [mask & kernel(i) for mask, i in zip(masks, other)]
+                masks = [mask & kernel[i] for mask, i in zip(masks, other)]
         subspaces.append(_Preimages(p ** (w * e // f + 1), masks, nmat))
     inner = 0
     while inner < free and nmat ** (inner + 1) <= TUPLE_BITS:
@@ -225,13 +223,14 @@ def stable_tuples(m: int, e: int, f: int, p: int) -> int:
                          depth - 1) for pos in range(nmat))
 
     stable = 0
+    tile = ((1 << p ** e) - 1) // ((1 << p ** f) - 1)  # bit k p^f for every k
     for r in range(f + 1):
-        # phi A for the head of rank r is phi's first r coordinates
+        # phi A for the head of rank r is phi's first r of its f coordinates
         heads = []
         for _, phis in annihilators:
             mask = -1
             for phi in phis:
-                mask &= kernel(sum(phi[j] * p ** j for j in range(r)))
-            heads.append(mask)
+                mask &= kernels[f][sum(phi[j] * p ** j for j in range(r))]
+            heads.append(mask * tile)
         stable += _rank_count(f, e, r, p) * count(heads, free)
     return stable

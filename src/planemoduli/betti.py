@@ -244,8 +244,10 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
 # Finite-field brute force
 
 #: largest m e f enumerated; the slowest shape the guards accept, N(2; 9, 1)
-#: at p = 3 and its transpose, takes about 0.4 s and 60 MB in one process
-#: (2-vCPU VM, Python 3.11.7; BENCH_25.json, extreme_shapes)
+#: at p = 3 and its transpose, takes about 0.3 s and 50 MB in one process
+#: (2-vCPU VM, Python 3.11.7; BENCH_28.json, extreme_shapes).  Its moduli
+#: space has dimension -63 and it counts 0: it stays accepted, so the
+#: oracle confirms an emptiness that kronecker_poincare refuses up front
 MAX_BRUTE_FORCE_EXPONENT = 20
 
 #: widest preimage bitmask, one bit per vector of the larger space; with

@@ -314,6 +314,16 @@ class TestBruteForce:
             with pytest.raises(DomainError):
                 brute_force_kronecker_count(m, dv, 2 ** 61 - 1)
 
+    @pytest.mark.parametrize("m, dv, p, message", [
+        (3, (7, 1), 2, r"p\^21 tuples"),         # m e f = 21, one above the limit
+        (2, (2, 1), 149, r"149\^4 tuples"),      # 149^4 > 4 * 10^8 >= 139^4
+        (1, (4, 5), 2, r"min\(e, f\) <= 3"),   # m e f = 20 and masks of 2^5 bits
+    ])
+    def test_guards_refuse_the_first_shape_beyond_each_limit(self, m, dv, p, message):
+        # each shape passes every other guard, so only its own limit refuses it
+        with pytest.raises(DomainError, match=message):
+            brute_force_kronecker_count(m, dv, p)
+
 
 class TestExtDims:
     def test_table_values(self):

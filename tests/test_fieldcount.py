@@ -24,9 +24,12 @@ from oracles import (_rank_mod_p, kronecker_count_by_enumeration,
                      rank_count_by_grassmannian)
 
 #: (m, e, f, p) with m in {2, 4, 5} and p in {2, 3, 5}, plus three 3-arrow
-#: shapes, two 1-arrow shapes (no free matrix) and two with large p; masks
+#: shapes, four 1-arrow shapes (no free matrix) and two with large p; masks
 #: over 5^3 or 3^4 source vectors are wider than one 64-bit word, and the
-#: 101 free matrices of (2, 1, 1, 101) fall into two groups of equal masks
+#: 101 free matrices of (2, 1, 1, 101) fall into two groups of equal masks.
+#: (1, 16, 1, 2) has the widest accepted masks, 2^16 bits, and (1, 1, 1,
+#: 65521) the largest accepted prime: with no free matrix, neither may
+#: build a kernel mask per functional on the larger space
 SHAPES = [
     (2, 1, 1, 2), (2, 1, 1, 3), (2, 1, 1, 5), (2, 2, 1, 2), (2, 2, 1, 3),
     (2, 1, 2, 5), (2, 3, 1, 3), (2, 2, 3, 2), (2, 3, 2, 3), (2, 1, 0, 5),
@@ -35,6 +38,7 @@ SHAPES = [
     (5, 1, 1, 3), (5, 2, 1, 2), (5, 2, 1, 5), (5, 1, 2, 3), (5, 3, 1, 2),
     (3, 3, 1, 5), (3, 1, 3, 5), (3, 4, 1, 3),
     (1, 1, 1, 5), (1, 3, 2, 2), (2, 1, 1, 101), (2, 2, 1, 13),
+    (1, 16, 1, 2), (1, 1, 1, 65521),
 ]
 
 #: the plain enumeration visits p^(m e f) tuples; beyond this it is slow
@@ -50,6 +54,33 @@ def test_oracle_matches_enumeration_and_recursion(m, e, f, p):
     assert count == recursion
     if recursion:
         assert count == betti.kronecker_poincare(m, (e, f))(p)
+
+
+@pytest.mark.parametrize("e, p", [(1, 2), (3, 2), (2, 3), (4, 3), (3, 5), (1, 101)])
+def test_kernel_masks_match_enumeration(e, p):
+    # functional psi and vector x are numbers sum_i psi_i p^i and
+    # sum_i x_i p^i, and the mask of psi has bit x set when psi . x = 0
+    def digits(n):
+        return [n // p ** i % p for i in range(e)]
+
+    def kernel(psi, j):
+        return sum(1 << x for x in range(p ** j)
+                   if sum(a * b for a, b in zip(digits(psi), digits(x))) % p == 0)
+
+    kernels = _fieldcount._kernels(p, set(range(e + 1)))
+    for j, masks in kernels.items():
+        # 0 and the functionals of j digits whose first nonzero digit is 1
+        assert set(masks) == {psi for psi in range(p ** j)
+                              if [d for d in digits(psi) if d][:1] in ([], [1])}
+        assert all(mask == kernel(psi, j) for psi, mask in masks.items())
+    norm = _fieldcount._lines(e, p)
+    for psi in range(1, p ** e):
+        mask = kernels[e][norm[psi]]
+        assert mask == kernel(psi, e)
+        for s in range(2, p):
+            # every nonzero multiple shares one int, which bounds the memory
+            multiple = sum(s * d % p * p ** i for i, d in enumerate(digits(psi)))
+            assert kernels[e][norm[multiple]] is mask
 
 
 @pytest.mark.parametrize("inner", [0, 1, 2, 3])
