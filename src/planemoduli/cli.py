@@ -6,10 +6,11 @@ appears in SVG coordinates, rounded at the moment of rendering.  Identical
 argument vectors produce identical bytes on every supported interpreter:
 the package, not argparse, words an invalid choice and a leading "--".
 
-Each command returns its output and never prints: under --json the payload
-dict, otherwise its text (the walls table as lines, every cell rendered
-before the first line is printed).  run() prints the result, so any error
-leaves stdout empty.
+Each command returns its output and never prints: a str, a dict (the
+--json payload) or an iterable of output pieces.  `walls` returns its table,
+text or --json, as pieces made row by row while they are written, after
+every check has run.  run() writes the result, so any error leaves stdout
+empty.
 
 Exit codes: 0 on success, 1 on a usage error, 2 on a domain error.
 
@@ -22,6 +23,7 @@ betti only for degree 6).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from typing import TYPE_CHECKING
@@ -112,11 +114,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_walls(args) -> dict | Iterator[str]:
+def _cmd_walls(args) -> Iterator[str]:
     from . import divisors, ktheory, walls
 
     d = args.degree
-    x0, s, tts, codes = walls._wall_keys(d)
+    x0, s, runs = walls._wall_runs(d)  # the guards raise here, before any output
     # destabilizers of walls known to be actual, from curated tables, by (r, c, 2 ch_2)
     if d == 6:
         from . import betti
@@ -126,30 +128,53 @@ def _cmd_walls(args) -> dict | Iterator[str]:
         actual = {divisors.first_wall_destabilizer(d)}
     divisor = {(v.r, v.c, ktheory._twice_ch2(v)): divisors.wall_divisor(d, v)
                for v in (*actual, ktheory.line_bundle(0))}
-    shared = [(tt, math.gcd(tt, s)) for tt in tts]  # gcd(key, s) for all of c's keys
-    rows = []
-    for code in codes:
-        key, c = divmod(code, len(tts))
-        tt, g = shared[c]
-        m = c * c - (key + tt) // s  # 2 ch_2
-        rows.append((f"{-key // g}" if g == s else f"{-key // g}/{s // g}",
-                     f"1,{c},{m // 2}" if m % 2 == 0 else f"1,{c},{m}/2",
-                     divisor.get((1, c, m))))
     if args.svg is not None:
         render_svg([w for _, w in walls.enumerate_potential_walls(d)], args.svg)
+    spans = {c: (lo, hi, tt, g, den) for c, lo, hi, tt, g, den, _, _ in runs}
+
+    def cells(c: int, n: int) -> tuple:
+        _, _, tt, g, den = spans[c]
+        num, m = (tt - 2 * s * n) // g, c * c - 2 * n  # m = 2 ch_2
+        return (f"{num}" if g == s else f"{num}/{den}",
+                f"1,{c},{m // 2}" if m % 2 == 0 else f"1,{c},{m}/2", divisor.get((1, c, m)))
+
+    rows = (cells(c, n) for c, n in walls._candidates(runs))
     center = str(x0)
     if args.json:
-        return {"degree": d, "walls": [{
-            "center": center, "radius_sq": rsq, "destabilizer": cand,
-            "actual": div is not None, "divisor": None if div is None else div.to_json(),
-        } for rsq, cand, div in rows]}
+        return _walls_json(d, center, rows)
+
+    def line(rsq: str, cand: str, div) -> tuple:
+        return (center, rsq, cand, "potential" if div is None else "actual",
+                "-" if div is None else str(div))
+
+    # the widest cells: radius_sq and 2 ch_2 fall as n grows and 2 ch_2 keeps
+    # c's parity, so a run's widest sit at its ends; then the curated rows
+    curated = [(c, (c * c - m) // 2) for r, c, m in divisor
+               if r == 1 and c in spans and (c * c - m) % 2 == 0
+               and spans[c][0] <= (c * c - m) // 2 <= spans[c][1]]
     header = ("center", "radius_sq", "destabilizer", "status", "divisor")
-    table = [header, *((center, rsq, cand, "potential" if div is None else "actual",
-                        "-" if div is None else str(div)) for rsq, cand, div in rows)]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    # one line at a time: the joined table of a large degree is megabytes
-    return ("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-            for row in table)
+    widest = [header, *(line(*cells(c, n)) for c, n in
+                        [(c, n) for c, lo, hi, *_ in runs for n in (lo, hi)] + curated)]
+    if sum(hi - lo + 1 for _, lo, hi, *_ in runs) > len(curated):
+        widest.append(line("", "", None))  # a potential row
+    template = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*widest))
+    return (template.format(*row).rstrip() + "\n"
+            for row in itertools.chain([header], itertools.starmap(line, rows)))
+
+
+def _walls_json(d: int, center: str, rows) -> Iterator[str]:
+    """The walls payload in pieces; only the curated rows' divisors go through json."""
+    import json
+
+    yield f'{{"degree": {d}, "walls": ['
+    separator = ""
+    for rsq, cand, div in rows:
+        tail = ("false, \"divisor\": null" if div is None else
+                f'true, "divisor": {json.dumps(div.to_json(), separators=(", ", ": "))}')
+        yield (f'{separator}{{"center": "{center}", "radius_sq": "{rsq}", '
+               f'"destabilizer": "{cand}", "actual": {tail}}}')
+        separator = ", "
+    yield "]}\n"
 
 
 def _cmd_cone(args) -> dict | str:
@@ -341,7 +366,7 @@ def _join_value_flags(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str]) -> int:
-    """Parse arguments, dispatch, print the result and map failures to exit codes."""
+    """Parse arguments, dispatch, write the result and map failures to exit codes."""
     parser = _build_parser()
     try:
         if argv[:1] == ["--"]:  # newer argparse releases skip it, older refuse it
@@ -352,8 +377,9 @@ def run(argv: list[str]) -> int:
             import json  # only --json output needs it: text-mode calls start faster
 
             result = json.dumps(result, separators=(", ", ": "))
-        for line in (result,) if isinstance(result, str) else result:
-            print(line)
+        write = sys.stdout.write
+        for piece in (result, "\n") if isinstance(result, str) else result:
+            write(piece)
         return 0
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
@@ -366,7 +392,8 @@ def run(argv: list[str]) -> int:
         return DOMAIN_ERROR
     except ValueError as exc:
         # str() refuses ints of more than sys.get_int_max_str_digits() digits;
-        # every number is rendered before the first print, so stdout is empty
+        # a str or dict result is rendered whole before it is written, and
+        # the walls rows have short numbers, so stdout is empty
         if "integer string conversion" not in str(exc):
             raise
         print(f"error: {_TOO_MANY_DIGITS}", file=sys.stderr)

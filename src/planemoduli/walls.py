@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import ktheory
@@ -21,10 +22,9 @@ from .exactmath import Scalar, _frac, _Value
 from .ktheory import ChernP2
 
 
-#: largest degree enumerated: candidates grow like d^3, and d = 200 has 176,452,
-#: 0.33-0.55 s in-process; a cold `walls --degree 200` takes 1.2-1.7 s at a peak
-#: RSS of 72 MB, 0.75-1.4 s and 124-125 MB with --json (12 runs each, Python
-#: 3.11.7 without bytecode files, 2-vCPU x86-64 VM; BENCH_26.json)
+#: largest degree enumerated: d = 200 has 176,452 candidates (they grow like d^3),
+#: 0.24-0.46 s in-process; a cold `walls --degree 200` takes 0.45-0.90 s, 0.31-0.56 s
+#: with --json, at 15.7 MB peak RSS (9 runs, 2-vCPU VM, Python 3.11.7; BENCH_30.json)
 MAX_WALL_DEGREE = 200
 
 #: Fraction and its slot setters, bound at import, out of reach of a patched walls.Fraction
@@ -52,8 +52,7 @@ class Wall(_Value):
         """Whether the top point of `other` lies strictly inside this semicircle."""
         gap = (other.center - self.center) ** 2 + other.radius_sq
         if gap == self.radius_sq:
-            raise AmbiguousChamberError(
-                f"top point of {other} lies exactly on {self}")
+            raise AmbiguousChamberError(f"top point of {other} lies exactly on {self}")
         return gap < self.radius_sq
 
     def __str__(self) -> str:
@@ -93,32 +92,42 @@ def wall_between(v: ChernP2, w: ChernP2) -> Wall:
     return Wall(x, radius_sq)
 
 
-def _wall_keys(d: int) -> tuple[Fraction, int, list[int], list[int]]:
-    """The common center x0, the scale s = 4 d^2, tts[c] = t^2 and the sorted codes.
+def _wall_runs(d: int) -> tuple[Fraction, int, list[tuple[int, ...]]]:
+    """x0, s = 4 d^2 and the runs (c, n_min, n_max, t^2, g, s // g, q, r), by r.
 
-    Each candidate I_Z(c) = (1, c, c^2/2 - n) is the code key * w + c, with
-    w = d // 2 + 1 and key = -s r^2 = 2 s n - t^2 for t = 2 d (x0 - c), an
-    integer.  As 0 <= c < w, sorting the codes sorts by (key, c), which is by
-    descending r^2, and n = (key + t^2) / (2 s) follows from (key, c).
-    """
-    if d < 3:
-        raise DomainError("potential wall enumeration needs degree >= 3")
-    if d > MAX_WALL_DEGREE:
-        raise DomainError(f"potential wall enumeration is limited to degree "
-                          f"<= {MAX_WALL_DEGREE}")
+    Candidate I_Z(c) = (1, c, c^2/2 - n) has the key 2 s n - t^2 = -s r^2,
+    for t = 2 d (x0 - c), and the code key * w + c, w = d // 2 + 1, which
+    ascends as r^2 descends.  It steps by S = 2 s w along one c, so it is
+    (n + q) S + r for (q, r) = divmod(c - t^2 w, S).  g = gcd(t^2, s) is
+    gcd(key, s) for every n: s // g is the one denominator of c's radii."""
+    if not 3 <= d <= MAX_WALL_DEGREE:
+        raise DomainError("potential wall enumeration " + (
+            "needs degree >= 3" if d < 3 else f"is limited to degree <= {MAX_WALL_DEGREE}"))
     v = ktheory.moduli(d)  # rank 0: one center for every candidate
     collapsing = wall_between(v, ktheory.line_bundle(0))
     x0, s, w = collapsing.center, 4 * d * d, d // 2 + 1
-    s_lo = s * collapsing.radius_sq
-    s_hi = s * wall_between(v, first_wall_destabilizer(d)).radius_sq
-    tts, codes = [int(2 * d * (x0 - c)) ** 2 for c in range(w)], []
-    for c, tt in enumerate(tts):
+    s_lo, s_hi = (s * collapsing.radius_sq,
+                  s * wall_between(v, first_wall_destabilizer(d)).radius_sq)
+    runs = []
+    for c in range(w):
+        tt = int(2 * d * (x0 - c)) ** 2
         n_min = max(0, math.ceil((tt - s_hi) / (2 * s)))
         n_max = math.floor((tt - s_lo) / (2 * s))
-        codes.extend(range((2 * s * n_min - tt) * w + c,
-                           (2 * s * n_max - tt) * w + c + 1, 2 * s * w))
-    codes.sort()
-    return x0, s, tts, codes
+        if n_min <= n_max:
+            g = math.gcd(tt, s)
+            runs.append((c, n_min, n_max, tt, g, s // g, *divmod(c - tt * w, 2 * s * w)))
+    runs.sort(key=lambda run: run[7])
+    return x0, s, runs
+
+
+def _candidates(runs: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """(c, n) of every candidate by ascending code: by band n + q, then by r."""
+    edges = sorted({e for _, lo, hi, _, _, _, q, _ in runs for e in (lo + q, hi + q + 1)})
+    for b0, b1 in zip(edges, edges[1:]):  # a run holds all or none of b0..b1 - 1
+        band = [(c, q) for c, lo, hi, _, _, _, q, _ in runs if lo + q <= b0 <= hi + q]
+        for b in range(b0, b1):
+            for c, q in band:
+                yield c, b - q
 
 
 def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
@@ -131,15 +140,11 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     by descending r^2, so candidates sharing a wall are adjacent.  Potential
     walls only: whether one is actual is curated data, not a numeric test.
     """
-    x0, s, tts, codes = _wall_keys(d)
-    w = len(tts)
-    # radius_sq = -key / s in lowest terms: key = 2 s n - t^2 makes gcd(key, s)
-    # = gcd(t^2, s) for every n, so each c has one g and one denominator s // g
-    shared = [(tt, math.gcd(tt, s), s // math.gcd(tt, s)) for tt in tts]
-    # built unchecked, being valid by construction: n >= 0, ch_2 = (c^2 - 2n)/2
-    # makes c_2 integral, and every key is negative, so every radius_sq is
-    # positive; the few distinct ch_2 values are shared.  The fields are
-    # stored as _Value._make would, without its frame per record.
+    x0, s, runs = _wall_runs(d)
+    shared = {c: (tt, g, den) for c, _, _, tt, g, den, _, _ in runs}
+    # built unchecked, valid by construction: n >= 0, ch_2 = (c^2 - 2n)/2 makes
+    # c_2 integral, every key is negative, so radius_sq > 0; the few distinct
+    # ch_2 are shared.  Fields are stored as _Value._make would, without its frame.
     new = object.__new__
     set_r, set_c, set_e = ChernP2._setters
     set_center, set_radius_sq = Wall._setters
@@ -147,19 +152,14 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     ch2: dict[int, Fraction] = {}
     found = []
     append = found.append
-    # The collector is paused while the list grows: the loop makes no
-    # cycles and every object it makes stays alive in the result, so a
-    # collection could free nothing and would only rescan the list.  The
-    # keys are built before the pause: pausing there too saved too little
-    # to tell apart in whole calls.
+    # The collector is paused while the list grows: the loop makes no cycles and
+    # keeps every object it makes, so a collection would only rescan the list.
     paused = gc.isenabled()
-    if paused:
-        gc.disable()
+    gc.disable()
     try:
-        for code in codes:
-            key, c = divmod(code, w)
+        for c, n in _candidates(runs):
             tt, g, den = shared[c]
-            m = c * c - (key + tt) // s
+            m = c * c - 2 * n
             e = ch2.get(m)
             if e is None:
                 e = ch2[m] = Fraction(m, 2)
@@ -168,7 +168,7 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
             set_c(cand, c)
             set_e(cand, e)
             rsq = new(fraction)
-            set_numerator(rsq, -key // g)
+            set_numerator(rsq, (tt - 2 * s * n) // g)
             set_denominator(rsq, den)
             wall = new(Wall)
             set_center(wall, x0)

@@ -168,6 +168,27 @@ class TestKroneckerPoincare:
         finally:
             original.cache_clear()
 
+    @pytest.mark.parametrize("dv, q, drift, message", [
+        # one more point at q = 3 only: the value at q = 2 and the base-8
+        # digits stay right, so only the comparison at q = 3 can catch it
+        ((2, 1), 3, 1, "disagrees with the recursion at q = 3"),
+        # N(3; 1, 1) = P^2 loses its 7 points at q = 2: an empty space
+        ((1, 1), 2, -7, r"fails its shape checks: 0 \(expected degree 2\)"),
+    ], ids=["q3-disagreement", "empty-at-q2"])
+    def test_count_drift_at_one_q_fails_its_check(self, monkeypatch, dv, q, drift, message):
+        # only the top-level call at that q drifts, by `drift` moduli points
+        from planemoduli import betti as betti_module
+        original = betti_module._hn_stack_count
+        original.cache_clear()
+        monkeypatch.setattr(betti_module, "_hn_stack_count",
+                            lambda m, e, f, at: original(m, e, f, at)
+                            + (Fraction(drift, at - 1) if ((e, f), at) == (dv, q) else 0))
+        try:
+            with pytest.raises(ConventionError, match=message):
+                betti_module.kronecker_poincare(3, dv)
+        finally:
+            original.cache_clear()
+
     def test_reflection_and_duality(self):
         # transposing the arrows swaps (e, f); reflecting at the sink and
         # then transposing maps (e, f) to (3e - f, e); both give isomorphic
@@ -339,6 +360,12 @@ class TestExtDims:
     def test_convention_violation_raises(self):
         with pytest.raises(ConventionError):
             ext_dims_at_wall(6, point())
+
+    def test_fractional_pairings_fail_the_integrality_check(self, monkeypatch):
+        # negative, so the sign check passes: only integrality can catch it
+        monkeypatch.setattr(betti, "euler_hom", lambda v, w: Fraction(-1, 2))
+        with pytest.raises(ConventionError, match="must be integers"):
+            ext_dims_at_wall(6, ChernP2(1, 3, Fraction(-7, 2)))
 
 
 class TestSpacePoincare:

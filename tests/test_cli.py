@@ -2,14 +2,14 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from planemoduli import betti, divisors, ktheory, walls
 from planemoduli.betti import assemble_m6
-from planemoduli.cli import _cmd_walls, _space_poly, _value_too_long, render_svg, run
+from planemoduli.cli import _space_poly, _value_too_long, render_svg, run
 from planemoduli.exactmath import QPoly, grassmannian_poincare
 from planemoduli.walls import Wall
 from importpath import loaded_after, package_modules
@@ -530,19 +530,55 @@ class TestWallsDigests:
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
+class _HashingSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.hash.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+WALLS_60 = [(argv, digest) for argv, digest in WALLS_DIGESTS if argv[2] == "60"]
+
+
+class TestWallsStream:
+    @pytest.mark.parametrize("argv, digest", WALLS_60,
+                             ids=[" ".join(argv) for argv, _ in WALLS_60])
+    def test_rows_are_written_as_they_are_made(self, monkeypatch, argv, digest):
+        # the table is written row by row, so the command holds O(d), not
+        # the rows, the payload or its text (1.7 and 5.1 MB when it did)
+        sink = _HashingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.hash.hexdigest()) == (0, digest)
+        assert peak < 500_000
+
+
 class TestWallsAgainstLibrary:
-    def test_json_rows_match_the_enumeration(self):
-        # the command formats its rows from the integer wall keys, and the
-        # library decodes the same keys into values on a route of its own;
-        # the payload is called for directly, as the digests cover its bytes
+    def test_json_rows_match_the_enumeration(self, capsys):
+        # the command formats its rows from the runs of candidates, and the
+        # library builds values from the same runs on a route of its own
         for d in range(3, 61):
             if d == 6:
                 curated = {rec.destabilizer for rec in betti.m6_wall_records()}
             else:
                 curated = {divisors.first_wall_destabilizer(d)}
             curated.add(ktheory.line_bundle(0))
-            args = SimpleNamespace(degree=d, json=True, svg=None)
-            rows = _cmd_walls(args)["walls"]
+            code, out, _ = run_capture(capsys, ["walls", "--degree", str(d), "--json"])
+            assert code == 0
+            rows = json.loads(out)["walls"]
             pairs = walls.enumerate_potential_walls(d)
             assert [(row["center"], row["radius_sq"], row["destabilizer"])
                     for row in rows] == \

@@ -182,6 +182,14 @@ class TestCones:
             with pytest.raises(ConventionError, match="collapsing-wall divisor"):
                 effective_generators(d)
 
+    def test_nef_generators_catch_drift(self, monkeypatch):
+        # the first wall's destabilizer drifts to O, whose divisor is L; at
+        # d = 3 O is the first wall's destabilizer, so that degree is left out
+        monkeypatch.setattr(divisors, "first_wall_destabilizer", lambda d: line_bundle(0))
+        for d in (4, 6, 7):
+            with pytest.raises(ConventionError, match="disagrees with the closed form"):
+                nef_generators(d)
+
     def test_degree_bounds(self):
         with pytest.raises(DomainError):
             nef_generators(2)

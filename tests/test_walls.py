@@ -140,28 +140,45 @@ def traced(call):
 class TestWallKeys:
     @pytest.mark.parametrize("d", [*range(3, 31), 120])
     def test_one_sorted_negative_key_per_candidate(self, d):
-        x0, s, tts, codes = walls._wall_keys(d)
+        x0, s, runs = walls._wall_runs(d)
         w = d // 2 + 1
-        assert tts == [(2 * d * (x0 - c)) ** 2 for c in range(w)]
-        decoded = [(key, c, (key + tts[c]) // (2 * s))
-                   for key, c in (divmod(code, w) for code in codes)]
-        assert all(key < 0 for key, _, _ in decoded)
-        assert codes == sorted(codes)
-        # every (key, c, n) between the collapsing and first walls, by search
+        tts = [(2 * d * (x0 - c)) ** 2 for c in range(w)]
+        assert all(tt.denominator == 1 for tt in tts)
+        # every (key, c, n) between the collapsing and first walls, by search,
+        # sorted here: the stream must give them in this order without a sort
         lo = math.ceil(s * wall_between(moduli(d), line_bundle(0)).radius_sq)
         hi = math.floor(s * wall_between(moduli(d), first_wall_destabilizer(d)).radius_sq)
-        assert decoded == sorted((2 * s * n - tt, c, n) for c, tt in enumerate(tts)
-                                 for n in range(tt // (2 * s) + 1)
-                                 if lo <= tt - 2 * s * n <= hi)
+        expected = sorted((2 * s * n - int(tt), c, n) for c, tt in enumerate(tts)
+                          for n in range(int(tt) // (2 * s) + 1)
+                          if lo <= tt - 2 * s * n <= hi)
+        streamed = [(2 * s * n - int(tts[c]), c, n) for c, n in walls._candidates(runs)]
+        assert streamed == expected
+        assert all(key < 0 for key, _, _ in streamed)
+        # one run per c with candidates, by ascending residue r, where the
+        # code key * w + c of (c, n) is (n + q) S + r
+        spans: dict[int, list[int]] = {}
+        for _, c, n in expected:
+            spans.setdefault(c, []).append(n)
+        assert sorted(run[:6] for run in runs) == \
+            [(c, min(ns), max(ns), tts[c], g, s // g)
+             for c, ns in sorted(spans.items()) for g in [math.gcd(int(tts[c]), s)]]
+        residues = [r for *_, r in runs]
+        assert residues == sorted(residues) and 0 <= residues[0]
+        assert residues[-1] < 2 * s * w
+        offsets = {c: (q, r) for c, *_, q, r in runs}
+        assert all((n + offsets[c][0]) * 2 * s * w + offsets[c][1] == key * w + c
+                   for key, c, n in streamed)
         found, peak, kept = traced(lambda: enumerate_potential_walls(d))
         assert [(1, c, Fraction(c * c - 2 * n, 2), x0, Fraction(-key, s))
-                for key, c, n in decoded] == \
+                for key, c, n in streamed] == \
             [(cand.r, cand.c, cand.e, wall.center, wall.radius_sq)
              for cand, wall in found]
+        # the radii of one c share its one denominator int
+        assert len({id(wall.radius_sq.denominator) for _, wall in found}) <= len(runs)
         if d == 120:
-            # besides its result the enumeration holds about one int per
-            # candidate, not a tuple of three
-            assert peak <= 1.25 * kept
+            # besides its result the enumeration holds O(d): the runs and
+            # the distinct ch_2 values, with no list of keys or codes
+            assert peak <= 1.05 * kept
 
 
 class TestCollectorState:
