@@ -41,10 +41,6 @@ class ChowP2(_Vector):
             self.c0 * other.c2 + self.c1 * other.c1 + self.c2 * other.c0,
         )
 
-    def lift(self) -> "ChowCurveP2":
-        """Pull back to the product (no p component)."""
-        return ChowCurveP2(self.c0, self.c1, self.c2, 0, 0, 0)
-
 
 class ChowCurveP2(_Vector):
     """A class on (parameter curve) x plane on the basis {1, h, h^2, p, ph, ph^2}."""
@@ -55,16 +51,6 @@ class ChowCurveP2(_Vector):
                  ap: Scalar = 0, aph: Scalar = 0, aph2: Scalar = 0):
         super().__init__(_frac(a1), _frac(ah), _frac(ah2),
                          _frac(ap), _frac(aph), _frac(aph2))
-
-    @classmethod
-    def from_parts(cls, plane: ChowP2, p_part: ChowP2) -> "ChowCurveP2":
-        return cls(plane.c0, plane.c1, plane.c2, p_part.c0, p_part.c1, p_part.c2)
-
-    def plane_part(self) -> ChowP2:
-        return ChowP2(self.a1, self.ah, self.ah2)
-
-    def p_part(self) -> ChowP2:
-        return ChowP2(self.ap, self.aph, self.aph2)
 
     def __mul__(self, other: "ChowCurveP2 | int | Fraction") -> "ChowCurveP2":
         if other.__class__ is not ChowCurveP2:

@@ -9,7 +9,8 @@ the package, not argparse, words an invalid choice and a leading "--".
 Each command returns its output and never prints: a str, a dict (the
 --json payload) or an iterable of output pieces.  `walls` returns its table,
 text or --json, as pieces made row by row while they are written, after
-every check has run.  run() writes the result, so any error leaves stdout
+every check has run; --svg first writes the picture arc by arc from the same
+stream of candidates.  run() writes the result, so any error leaves stdout
 empty.
 
 Exit codes: 0 on success, 1 on a usage error, 2 on a domain error.
@@ -32,7 +33,7 @@ from .errors import PlaneModuliError
 from .exactmath import parse_int, parse_rational
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Iterable, Iterator
     from fractions import Fraction
 
     from .exactmath import QPoly
@@ -128,9 +129,17 @@ def _cmd_walls(args) -> Iterator[str]:
         actual = {divisors.first_wall_destabilizer(d)}
     divisor = {(v.r, v.c, ktheory._twice_ch2(v)): divisors.wall_divisor(d, v)
                for v in (*actual, ktheory.line_bundle(0))}
-    if args.svg is not None:
-        render_svg([w for _, w in walls.enumerate_potential_walls(d)], args.svg)
     spans = {c: (lo, hi, tt, g, den) for c, lo, hi, tt, g, den, _, _ in runs}
+    if args.svg is not None:
+        # by descending radius around the one center x0, so the first is the widest
+        def radius(c: int, n: int) -> float:
+            _, _, tt, g, den = spans[c]
+            return math.sqrt((tt - 2 * s * n) // g / den)  # = sqrt(Fraction(num, den))
+
+        radii = itertools.starmap(radius, walls._candidates(runs))
+        top, center = next(radii), float(x0)
+        _write_svg(args.svg, center - top, center + top, top,
+                   ((center, r) for r in itertools.chain([top], radii)))
 
     def cells(c: int, n: int) -> tuple:
         _, _, tt, g, den = spans[c]
@@ -300,37 +309,35 @@ def render_svg(wall_list: list[Wall], path: str) -> None:
     """
     if not wall_list:
         raise PlaneModuliError("nothing to render: empty wall list")
-    radii = [math.sqrt(w.radius_sq) for w in wall_list]
-    lo = min(float(w.center) - r for w, r in zip(wall_list, radii))
-    hi = max(float(w.center) + r for w, r in zip(wall_list, radii))
-    top = max(radii)
-    scale = 100.0
-    pad = 10.0
+    arcs = sorted(((float(w.center), math.sqrt(w.radius_sq)) for w in wall_list),
+                  key=lambda arc: -arc[1])
+    _write_svg(path, min(x - r for x, r in arcs), max(x + r for x, r in arcs),
+               arcs[0][1], arcs)
+
+
+def _write_svg(path: str, lo: float, hi: float, top: float,
+               arcs: Iterable[tuple[float, float]]) -> None:
+    """Write arcs (center, radius), outermost first, that span lo..hi and
+    rise to top, as an SVG file, each path line as it is made."""
+    scale, pad, fmt = 100.0, 10.0, "{:.6f}".format
     width = (hi - lo) * scale + 2 * pad
     height = top * scale + 2 * pad
-
-    def fmt(x: float) -> str:
-        return f"{x:.6f}"
-
     baseline = height - pad
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
-        f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">',
-        f'<line x1="0" y1="{fmt(baseline)}" x2="{fmt(width)}" '
-        f'y2="{fmt(baseline)}" stroke="#888" stroke-width="1"/>',
-    ]
-    ordered = sorted(zip(wall_list, radii), key=lambda wr: -wr[1])
-    for wall, radius in ordered:
-        x1 = (float(wall.center) - radius - lo) * scale + pad
-        x2 = (float(wall.center) + radius - lo) * scale + pad
-        r = radius * scale
-        lines.append(
-            f'<path d="M {fmt(x1)} {fmt(baseline)} A {fmt(r)} {fmt(r)} 0 0 1 '
-            f'{fmt(x2)} {fmt(baseline)}" fill="none" stroke="#205080" '
-            f'stroke-width="1.5"/>')
-    lines.append("</svg>")
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
+            f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">\n'
+            f'<line x1="0" y1="{fmt(baseline)}" x2="{fmt(width)}" '
+            f'y2="{fmt(baseline)}" stroke="#888" stroke-width="1"/>\n')
+        for center, radius in arcs:
+            x1 = (center - radius - lo) * scale + pad
+            x2 = (center + radius - lo) * scale + pad
+            r = radius * scale
+            handle.write(
+                f'<path d="M {fmt(x1)} {fmt(baseline)} A {fmt(r)} {fmt(r)} 0 0 1 '
+                f'{fmt(x2)} {fmt(baseline)}" fill="none" stroke="#205080" '
+                f'stroke-width="1.5"/>\n')
+        handle.write("</svg>\n")
 
 
 _COMMANDS = {
@@ -393,7 +400,7 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         # str() refuses ints of more than sys.get_int_max_str_digits() digits;
         # a str or dict result is rendered whole before it is written, and
-        # the walls rows have short numbers, so stdout is empty
+        # the walls rows and SVG coordinates have short numbers, so stdout is empty
         if "integer string conversion" not in str(exc):
             raise
         print(f"error: {_TOO_MANY_DIGITS}", file=sys.stderr)

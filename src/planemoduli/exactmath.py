@@ -345,10 +345,6 @@ class QPoly:
         """Serialize as the JSON wire format: coefficient strings, ascending."""
         return [str(c) for c in self._c]
 
-    @classmethod
-    def from_coefficient_strings(cls, items: Iterable[str]) -> "QPoly":
-        return cls(tuple(int(s) for s in items))
-
     def __str__(self) -> str:
         return _signed_sum((c, "" if i == 0 else "q" if i == 1 else f"q^{i}")
                            for i, c in enumerate(self._c))

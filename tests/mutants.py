@@ -88,6 +88,16 @@ MUTANTS = [
     ("cli.py", "for _, lo, hi, *_ in runs) > len(curated)",
      "for _, lo, hi, *_ in runs) >= len(curated)",
      "widen the status column for a table without potential rows", WALLS),
+    ("cli.py", "top, center = next(radii), float(x0)", "top, center = min(radii), float(x0)",
+     "take the picture's top from the last candidate instead of the first", WALLS),
+    ("cli.py", "center - top, center + top, top,", "center - top, center - top, top,",
+     "put the picture's right end at x0 - top", WALLS),
+    ("cli.py", "(tt - 2 * s * n) // g / den", "(tt - 2 * s * n) / den",
+     "draw each radius from the unreduced numerator, without // g", WALLS),
+    ("cli.py", "key=lambda arc: -arc[1])", "key=lambda arc: 0)",
+     "let render_svg keep its list's order instead of sorting it", WALLS),
+    ("cli.py", "itertools.chain([top], radii)", "radii",
+     "drop the outermost arc, the one read for the top", WALLS),
 ]
 
 

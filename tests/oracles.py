@@ -28,7 +28,7 @@ from itertools import product
 
 from planemoduli import ktheory
 from planemoduli.betti import _gl_order, _quiver_euler
-from planemoduli.chow import ChowCurveP2, coeff, todd_relative
+from planemoduli.chow import ChowCurveP2, ChowP2, coeff, todd_relative
 from planemoduli.divisors import (DivisorAL, FamilyClass, first_wall_destabilizer,
                                   genus)
 from planemoduli.errors import DomainError, EmptyWallError
@@ -222,13 +222,28 @@ def potential_walls_by_search(d: int) -> list[tuple[ChernP2, Wall]]:
     return found
 
 
+def plane_part(x: ChowCurveP2) -> ChowP2:
+    """A of the class x = A + pB, with A and B plane classes."""
+    return ChowP2(x.a1, x.ah, x.ah2)
+
+
+def p_part(x: ChowCurveP2) -> ChowP2:
+    """B of the class x = A + pB, with A and B plane classes."""
+    return ChowP2(x.ap, x.aph, x.aph2)
+
+
+def from_parts(plane: ChowP2, p: ChowP2) -> ChowCurveP2:
+    """The class A + pB from its plane classes A and B."""
+    return ChowCurveP2(plane.c0, plane.c1, plane.c2, p.c0, p.c1, p.c2)
+
+
 def chow_product_by_parts(x: ChowCurveP2, y: ChowCurveP2 | int | Fraction) -> ChowCurveP2:
     """x * y as (A + pB)(A' + pB') = AA' + p(AB' + BA'), with plane classes A, B."""
-    a, b = x.plane_part(), x.p_part()
+    a, b = plane_part(x), p_part(x)
     if isinstance(y, (int, Fraction)):
-        return ChowCurveP2.from_parts(a * y, b * y)
-    a2, b2 = y.plane_part(), y.p_part()
-    return ChowCurveP2.from_parts(a * a2, a * b2 + b * a2)
+        return from_parts(a * y, b * y)
+    a2, b2 = plane_part(y), p_part(y)
+    return from_parts(a * a2, a * b2 + b * a2)
 
 
 def intersection_degree_by_full_product(fam: FamilyClass, w: ChernP2) -> Fraction:

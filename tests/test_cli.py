@@ -198,7 +198,7 @@ class TestJsonOutput:
     def test_betti_n6(self, capsys):
         _, out, _ = run_capture(capsys, ["betti", "--space", "N6", "--json"])
         data = json.loads(out)
-        poly = QPoly.from_coefficient_strings(data["coefficients"])
+        poly = QPoly(map(int, data["coefficients"]))
         assert poly == QPoly(N6_COEFFICIENTS)
         assert data["degree"] == 20
         assert Fraction(data["euler"]) == poly(1)
@@ -206,7 +206,7 @@ class TestJsonOutput:
     def test_betti_m6_round_trip(self, capsys):
         _, out, _ = run_capture(capsys, ["betti", "--space", "M6", "--json"])
         data = json.loads(out)
-        assert QPoly.from_coefficient_strings(data["coefficients"]) == assemble_m6()
+        assert QPoly(map(int, data["coefficients"])) == assemble_m6()
 
     def test_betti_gr_and_kronecker(self, capsys):
         _, out, _ = run_capture(capsys,
@@ -293,10 +293,11 @@ class TestSvg:
         assert body.count("<path") == 9
         assert body.startswith("<svg")
 
-    # sha256 of whole files: the picture is the one output drawn from Wall values
+    # sha256 of whole files, written arc by arc from the candidate stream
     @pytest.mark.parametrize("d, digest", [
         (6, "93eb37633d7c35ec7b3a5608a0623df136433cd97bc170900566cb0b1a92136d"),
         (60, "71151a7a730e8235f24f3b42801d537b897848383b292dda67bbdf4ab9eca814"),
+        (120, "bc0046bdd57dc7ff5e72ab146b260eb0d0b1b3ae410c1ae00b3bb1ef0302f1d8"),
     ])
     def test_svg_bytes(self, tmp_path, capsys, d, digest):
         target = tmp_path / "walls.svg"
@@ -312,6 +313,16 @@ class TestSvg:
         render_svg(wall_list, str(b))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().count(b"<path") == 2
+
+    def test_any_order_renders_the_same_bytes(self, tmp_path):
+        # render_svg sorts its list outermost first, whatever the centers
+        wall_list = [Wall(0, 1), Wall(Fraction(-4, 3), Fraction(64, 9)),
+                     Wall(2, Fraction(1, 4)), Wall(Fraction(-4, 3), Fraction(16, 9))]
+        bodies = set()
+        for order in (wall_list, wall_list[::-1], wall_list[1:] + wall_list[:1]):
+            render_svg(order, str(tmp_path / "walls.svg"))
+            bodies.add((tmp_path / "walls.svg").read_bytes())
+        assert len(bodies) == 1
 
     def test_single_wall(self, tmp_path):
         target = tmp_path / "one.svg"
@@ -565,6 +576,25 @@ class TestWallsStream:
         assert (code, sink.hash.hexdigest()) == (0, digest)
         assert peak < 500_000
 
+    def test_picture_is_written_as_it_is_made(self, monkeypatch, tmp_path):
+        # each arc is written as it comes from the candidate stream, with no
+        # list of walls, radii or path strings (4 MB when there was one)
+        target = tmp_path / "walls.svg"
+        sink = _HashingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = run(["walls", "--degree", "60", "--svg", str(target)])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        [text] = [digest for argv, digest in WALLS_60 if "--json" not in argv]
+        assert (code, sink.hash.hexdigest()) == (0, text)
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+            "71151a7a730e8235f24f3b42801d537b897848383b292dda67bbdf4ab9eca814"
+        assert peak < 500_000
+
 
 class TestWallsAgainstLibrary:
     def test_json_rows_match_the_enumeration(self, capsys):
@@ -589,10 +619,11 @@ class TestWallsAgainstLibrary:
             assert sum(row["actual"] for row in rows) == len(curated)
 
     @pytest.mark.parametrize("d, divisors_built", [(6, 7), (60, 2)])
-    def test_only_the_picture_builds_wall_values(self, capsys, monkeypatch, d,
-                                                 divisors_built):
-        # no ChernP2 or Wall per candidate: the enumeration that builds them
-        # is not called, and wall_divisor runs once per curated class
+    def test_only_the_picture_builds_wall_values(self, capsys, monkeypatch, tmp_path,
+                                                 d, divisors_built):
+        # no ChernP2 or Wall per candidate in any mode, the picture included:
+        # the enumeration that builds them is not called, and wall_divisor
+        # runs once per curated class
         def no_enumeration(degree):
             raise AssertionError("walls were enumerated as values")
 
@@ -600,7 +631,7 @@ class TestWallsAgainstLibrary:
         monkeypatch.setattr(walls, "enumerate_potential_walls", no_enumeration)
         monkeypatch.setattr(divisors, "wall_divisor",
                             lambda degree, v: built.append(v) or real(degree, v))
-        for extra in ([], ["--json"]):
+        for extra in ([], ["--json"], ["--svg", str(tmp_path / "walls.svg")]):
             built.clear()
             assert run_capture(capsys, ["walls", "--degree", str(d), *extra])[0] == 0
             assert len(built) == divisors_built

@@ -8,8 +8,8 @@ from planemoduli.ktheory import (ChernP2, _td_ch, _td_ch2, dual, euler_hom,
                                  euler_product, hilbert_polynomial,
                                  ideal_twisted, line_bundle, line_support,
                                  moduli, parse_chern, point, shift, twist)
-from oracles import (euler_hom_by_fractions, euler_product_by_fractions, rand_chern,
-                     td_ch_by_fractions)
+from oracles import (euler_hom_by_fractions, euler_product_by_fractions, plane_part,
+                     rand_chern, td_ch_by_fractions)
 
 
 class TestConstructors:
@@ -151,12 +151,12 @@ class TestEulerPairings:
     def test_td_ch_matches_chow_route(self):
         # independent route: the plane part of the relative Todd class times
         # ch(w) in the truncated Chow ring
-        from planemoduli.chow import ChowP2, todd_relative
+        from planemoduli.chow import ChowCurveP2, todd_relative
         from planemoduli.ktheory import _td_ch
         rng = random.Random(48)
         for _ in range(100):
             w = rand_chern(rng)
-            product = (todd_relative() * ChowP2(w.r, w.c, w.e).lift()).plane_part()
+            product = plane_part(todd_relative() * ChowCurveP2(w.r, w.c, w.e))
             assert _td_ch(w) == (product.c0, product.c1, product.c2)
 
     def test_hilbert_polynomial_matches_pairing_route(self):
