@@ -10,8 +10,8 @@ produce the nef and effective cone generators for a range of degrees.
 from planemoduli import (d_in_AL, effective_generators, family_class,
                          first_wall_destabilizer, genus, intersection_degree,
                          nef_generators, orthogonal_wall_class, wall_divisor)
-from planemoduli.divisors import a_class, d_class
-from planemoduli.ktheory import line_bundle, moduli
+from planemoduli.divisors import d_class
+from planemoduli.ktheory import line_bundle, moduli, point
 
 # %% The two test curves.
 # A pencil of degree-d curves with fixed base points meets the divisor A
@@ -29,8 +29,9 @@ for d in (4, 5, 6):
           f"   =>  D = {d_in_AL(d)}")
 
 # %% A is a pullback divisor, so the constants behave as expected.
-print("\nA.P =", intersection_degree(family_class("pencil", 6), a_class()))
-print("A.T =", intersection_degree(family_class("jacobian", 6), a_class()))
+# Its K-class is the point sheaf.
+print("\nA.P =", intersection_degree(family_class("pencil", 6), point()))
+print("A.T =", intersection_degree(family_class("jacobian", 6), point()))
 
 # %% Wall divisors.
 # A class orthogonal to both the moduli class and a destabilizer spans the

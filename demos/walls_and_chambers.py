@@ -3,16 +3,15 @@
 
 Enumerate the potential Bridgeland walls for the degree-6 moduli space,
 transform tabulated Hilbert-scheme wall systems, and locate walls inside
-their chambers to read off birational model indices.  Optionally renders
-the wall picture to SVG.
+their chambers to read off birational model indices.  The picture of the
+degree-6 walls, nested semicircles about -4/3, is drawn by the command
+line: `planemoduli walls --degree 6 --svg FILE`.
 """
 
-import sys
 from fractions import Fraction
 
 from planemoduli import (abch_reference_walls, enumerate_potential_walls,
                          locate_model, transform_walls, wall_between)
-from planemoduli.cli import render_svg
 from planemoduli.ktheory import ChernP2, moduli
 
 # %% Potential walls at degree 6.
@@ -44,9 +43,3 @@ print("\nfourth wall:", w4)
 print("model index against the four-point system:", locate_model(w4, hilb4))
 for ref in hilb4.walls:
     print(f"  transformed reference wall: {ref}")
-
-# %% Render the degree-6 picture.
-if len(sys.argv) > 1:
-    target = sys.argv[1]
-    render_svg([w for _, w in candidates], target)
-    print(f"\nwrote {target}")

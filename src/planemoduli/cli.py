@@ -9,8 +9,9 @@ the package, not argparse, words an invalid choice and a leading "--".
 Each command returns its output and never prints: a str, a dict (the
 --json payload) or an iterable of output pieces.  `walls` returns its table,
 text or --json, as pieces made row by row while they are written, after
-every check has run; --svg first writes the picture arc by arc from the same
-stream of candidates.  run() writes the result, so any error leaves stdout
+every check has run; --svg first writes the picture, semicircles about the
+one center, arc by arc from the same stream of candidates.  That is the only
+way to the SVG writer.  run() writes the result, so any error leaves stdout
 empty.
 
 Exit codes: 0 on success, 1 on a usage error, 2 on a domain error.
@@ -33,11 +34,10 @@ from .errors import PlaneModuliError
 from .exactmath import parse_int, parse_rational
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterator
     from fractions import Fraction
 
     from .exactmath import QPoly
-    from .walls import Wall
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2
@@ -136,10 +136,7 @@ def _cmd_walls(args) -> Iterator[str]:
             _, _, tt, g, den = spans[c]
             return math.sqrt((tt - 2 * s * n) // g / den)  # = sqrt(Fraction(num, den))
 
-        radii = itertools.starmap(radius, walls._candidates(runs))
-        top, center = next(radii), float(x0)
-        _write_svg(args.svg, center - top, center + top, top,
-                   ((center, r) for r in itertools.chain([top], radii)))
+        _write_svg(args.svg, float(x0), itertools.starmap(radius, walls._candidates(runs)))
 
     def cells(c: int, n: int) -> tuple:
         _, _, tt, g, den = spans[c]
@@ -301,24 +298,15 @@ def _cmd_betti(args) -> dict | str:
     return payload
 
 
-def render_svg(wall_list: list[Wall], path: str) -> None:
-    """Write the walls as nested upper-half-plane arcs to an SVG file.
+def _write_svg(path: str, center: float, radii: Iterator[float]) -> None:
+    """Write semicircles about one center, radii outermost first, as an SVG
+    file, each path line as it is made; the first radius sets the extents.
 
     Coordinates are derived from the exact rational data and rounded only
-    here; output bytes are deterministic for a fixed input list.
+    here, so the bytes are deterministic.
     """
-    if not wall_list:
-        raise PlaneModuliError("nothing to render: empty wall list")
-    arcs = sorted(((float(w.center), math.sqrt(w.radius_sq)) for w in wall_list),
-                  key=lambda arc: -arc[1])
-    _write_svg(path, min(x - r for x, r in arcs), max(x + r for x, r in arcs),
-               arcs[0][1], arcs)
-
-
-def _write_svg(path: str, lo: float, hi: float, top: float,
-               arcs: Iterable[tuple[float, float]]) -> None:
-    """Write arcs (center, radius), outermost first, that span lo..hi and
-    rise to top, as an SVG file, each path line as it is made."""
+    top = next(radii)
+    lo, hi = center - top, center + top
     scale, pad, fmt = 100.0, 10.0, "{:.6f}".format
     width = (hi - lo) * scale + 2 * pad
     height = top * scale + 2 * pad
@@ -329,7 +317,7 @@ def _write_svg(path: str, lo: float, hi: float, top: float,
             f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">\n'
             f'<line x1="0" y1="{fmt(baseline)}" x2="{fmt(width)}" '
             f'y2="{fmt(baseline)}" stroke="#888" stroke-width="1"/>\n')
-        for center, radius in arcs:
+        for radius in itertools.chain([top], radii):
             x1 = (center - radius - lo) * scale + pad
             x2 = (center + radius - lo) * scale + pad
             r = radius * scale

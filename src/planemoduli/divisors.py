@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import chow, ktheory
-from .chow import ChowCurveP2
+from . import ktheory
 from .errors import ConventionError, DomainError
 from .exactmath import Scalar, _frac, _signed_sum, _Value, _Vector
 from .ktheory import ChernP2
@@ -69,11 +68,6 @@ def genus(d: int) -> int:
     if d < 1:
         raise DomainError("degree must be at least 1")
     return (d - 1) * (d - 2) // 2
-
-
-def a_class() -> ChernP2:
-    """The K-class mapping to the divisor A: a point sheaf."""
-    return ktheory.point()
 
 
 def d_class(d: int) -> ChernP2:
@@ -195,6 +189,8 @@ def family_class(kind: str, d: int) -> FamilyClass:
     1 + (d-3)/2 h + (d-3)^2/8 h^2 (odd_wall).  These expanded coefficients
     are what is returned.
     """
+    from .chow import ChowCurveP2  # here: only this and intersection_degree need chow
+
     if d < 1:
         raise DomainError("degree must be at least 1")
     if kind == "pencil":
@@ -223,8 +219,10 @@ def intersection_degree(fam: FamilyClass, w: ChernP2) -> Fraction:
     Td * ch(w) = r + (c + 3r/2) h + (e + 3c/2 + r) h^2 has no p part, so
     only the p part B of ch(family) = A + p B reaches p h^2.
     """
+    from .chow import _numerators
+
     ch = fam.chern
-    (b0, b1, b2), den = chow._numerators((ch.ap, ch.aph, ch.aph2))
+    (b0, b1, b2), den = _numerators((ch.ap, ch.aph, ch.aph2))
     r, c, e = ktheory._td_ch2(w)  # twice Td * ch(w)
     return Fraction(b0 * e + b1 * c + b2 * r, 2 * den)
 

@@ -37,6 +37,9 @@ Rational = Fraction
 
 Scalar = int | Fraction
 
+#: a float already carries a rounding error, which exact results cannot undo
+_FLOAT_REFUSED = "exact arithmetic takes an int or a Fraction, not the float {!r}"
+
 
 class _Value:
     """An immutable record whose fields are its class's __slots__.
@@ -162,8 +165,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _frac(x: Scalar) -> Fraction:
-    """x as a Fraction, without rebuilding one that already is."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction, without rebuilding one that already is; a float is refused."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise DomainError(_FLOAT_REFUSED.format(x))
+    return Fraction(x)
 
 
 def _signed_sum(terms: Iterable[tuple[Scalar, str]], times: str = "*") -> str:
@@ -208,13 +215,6 @@ class QPoly:
     def one(cls) -> "QPoly":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, power: int, coefficient: int = 1) -> "QPoly":
-        """The polynomial coefficient * q**power."""
-        if power < 0:
-            raise DomainError("monomial power must be nonnegative")
-        return cls((0,) * power + (coefficient,))
-
     @property
     def coefficients(self) -> tuple[int, ...]:
         return self._c
@@ -223,9 +223,6 @@ class QPoly:
     def degree(self) -> int | None:
         """Degree of the polynomial; None for the zero polynomial."""
         return len(self._c) - 1 if self._c else None
-
-    def coefficient(self, power: int) -> int:
-        return self._c[power] if 0 <= power < len(self._c) else 0
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -299,6 +296,8 @@ class QPoly:
         take a gcd per coefficient.
         """
         if not isinstance(x, Fraction) or not self._c:
+            if isinstance(x, float):
+                raise DomainError(_FLOAT_REFUSED.format(x))
             acc: Scalar = 0
             for c in reversed(self._c):
                 acc = acc * x + c

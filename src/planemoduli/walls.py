@@ -150,14 +150,13 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     set_center, set_radius_sq = Wall._setters
     fraction, set_numerator, set_denominator = _FRACTION_SLOTS
     ch2: dict[int, Fraction] = {}
-    found = []
-    append = found.append
-    # The collector is paused while the list grows: the loop makes no cycles and
+    found = [None] * sum(hi - lo + 1 for _, lo, hi, *_ in runs)
+    # The collector is paused while the list fills: the loop makes no cycles and
     # keeps every object it makes, so a collection would only rescan the list.
     paused = gc.isenabled()
     gc.disable()
     try:
-        for c, n in _candidates(runs):
+        for i, (c, n) in enumerate(_candidates(runs)):
             tt, g, den = shared[c]
             m = c * c - 2 * n
             e = ch2.get(m)
@@ -173,7 +172,7 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
             wall = new(Wall)
             set_center(wall, x0)
             set_radius_sq(wall, rsq)
-            append((cand, wall))
+            found[i] = cand, wall
     finally:
         if paused:
             gc.enable()

@@ -1,5 +1,5 @@
-"""Mutation run over the finite-field oracle and the wall stream: how many
-slips their tests catch.
+"""Mutation run over the finite-field oracle, the wall stream and the float
+check of the exact constructors: how many slips their tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
@@ -88,16 +88,17 @@ MUTANTS = [
     ("cli.py", "for _, lo, hi, *_ in runs) > len(curated)",
      "for _, lo, hi, *_ in runs) >= len(curated)",
      "widen the status column for a table without potential rows", WALLS),
-    ("cli.py", "top, center = next(radii), float(x0)", "top, center = min(radii), float(x0)",
+    ("cli.py", "top = next(radii)", "top = min(radii)",
      "take the picture's top from the last candidate instead of the first", WALLS),
-    ("cli.py", "center - top, center + top, top,", "center - top, center - top, top,",
+    ("cli.py", "lo, hi = center - top, center + top", "lo, hi = center - top, center - top",
      "put the picture's right end at x0 - top", WALLS),
     ("cli.py", "(tt - 2 * s * n) // g / den", "(tt - 2 * s * n) / den",
      "draw each radius from the unreduced numerator, without // g", WALLS),
-    ("cli.py", "key=lambda arc: -arc[1])", "key=lambda arc: 0)",
-     "let render_svg keep its list's order instead of sorting it", WALLS),
     ("cli.py", "itertools.chain([top], radii)", "radii",
      "drop the outermost arc, the one read for the top", WALLS),
+    ("exactmath.py", "    if isinstance(x, float):\n        raise", "    if False:\n        raise",
+     "let the exact constructors store a float as its binary Fraction",
+     ("tests/test_exactmath.py",)),
 ]
 
 

@@ -42,8 +42,8 @@ def gaussian_binomial_product(k: int, n: int) -> QPoly:
     num = QPoly.one()
     den = QPoly.one()
     for i in range(1, k + 1):
-        num = num * (QPoly.monomial(n - k + i) - QPoly.one())
-        den = den * (QPoly.monomial(i) - QPoly.one())
+        num = num * (QPoly.one().shifted(n - k + i) - QPoly.one())
+        den = den * (QPoly.one().shifted(i) - QPoly.one())
     return num.exact_div(den)
 
 

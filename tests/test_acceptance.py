@@ -212,7 +212,7 @@ def test_criterion_11_property_suites():
     assert len(spaces) >= RUNS
     for sd in spaces:
         poly = space_poincare(sd)
-        assert poly.coefficient(0) == 1
+        assert poly.coefficients[0] == 1
         assert all(c >= 0 for c in poly.coefficients)
         assert is_palindromic(poly)
 

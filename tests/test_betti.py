@@ -118,7 +118,7 @@ class TestKroneckerPoincare:
         for m, e, f in ((3, 1, 1), (3, 2, 1), (3, 3, 1), (3, 3, 2),
                         (3, 4, 3), (3, 5, 4), (2, 2, 1)):
             poly = kronecker_poincare(m, (e, f))
-            assert poly.coefficient(0) == 1
+            assert poly.coefficients[0] == 1
             assert poly.degree == m * e * f - e * e - f * f + 1
             assert is_palindromic(poly)
             assert all(c >= 0 for c in poly.coefficients)

@@ -6,7 +6,7 @@ import pytest
 from planemoduli import divisors, ktheory
 from planemoduli.chow import ChowCurveP2
 from planemoduli.divisors import (A_DIVISOR, L_DIVISOR, DivisorAL, FamilyClass,
-                                  a_class, d_class, d_in_AL,
+                                  d_class, d_in_AL,
                                   effective_generators, family_class,
                                   first_wall_destabilizer, genus,
                                   intersection_degree, lambda_decompose,
@@ -239,8 +239,8 @@ class TestIntersectionDegrees:
 
     def test_point_constraints(self):
         for d in (3, 5, 6, 9):
-            assert intersection_degree(family_class("pencil", d), a_class()) == 1
-            assert intersection_degree(family_class("jacobian", d), a_class()) == 0
+            assert intersection_degree(family_class("pencil", d), point()) == 1
+            assert intersection_degree(family_class("jacobian", d), point()) == 0
 
     def test_wall_family_drops(self):
         for d in range(4, 13, 2):
@@ -380,7 +380,7 @@ class TestAgainstFractionForms:
             for kind in ("pencil", "jacobian", "odd_wall" if d % 2 else "even_wall"):
                 fam, slow = family_class(kind, d), family_class_by_fractions(kind, d)
                 assert repr(fam) == repr(slow)
-                for u in (w, a_class()):
+                for u in (w, point()):
                     value = intersection_degree(fam, u)
                     expected = intersection_degree_by_full_product(slow, u)
                     assert type(value) is type(expected) and value == expected

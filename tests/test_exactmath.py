@@ -8,7 +8,7 @@ import pytest
 from planemoduli.betti import (Bundle, DimVector, Grassmannian, Hilb,
                                HilbModel, KroneckerModuli, Projective,
                                WallRecord)
-from planemoduli.chow import ChowCurveP2, ChowP2
+from planemoduli.chow import ChowCurveP2, ChowP2, exp_class
 from planemoduli.divisors import DivisorAL, FamilyClass
 from planemoduli.errors import DomainError, ExactDivisionError
 from planemoduli.exactmath import (QPoly, grassmannian_poincare,
@@ -128,11 +128,6 @@ class TestQPoly:
         assert str(QPoly([1, 1, 3])) == "1 + q + 3*q^2"
         assert str(QPoly([-1, 0, 1])) == "-1 + q^2"
 
-    def test_monomial_and_factor(self):
-        assert QPoly.monomial(3, 2) == QPoly([0, 0, 0, 2])
-        with pytest.raises(DomainError):
-            QPoly.monomial(-1)
-
 
 class TestProjectivePoincare:
     def test_examples(self):
@@ -200,6 +195,26 @@ class TestIsPalindromic:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             is_palindromic(QPoly())
+
+
+# A float carries a rounding error no exact result can undo, so the library
+# refuses one where it takes a rational.
+FLOAT_CALLS = [
+    ("Wall", lambda: Wall(0.1, 2)),
+    ("ChernP2", lambda: ChernP2(1, 1, 0.5)),
+    ("DivisorAL", lambda: DivisorAL(0.5, 1)),
+    ("ChowP2", lambda: ChowP2(0.5)),
+    ("ChowCurveP2", lambda: ChowCurveP2(0.5)),
+    ("exp_class", lambda: exp_class(0.5, 0)),
+    ("QPoly.__call__", lambda: QPoly([1, 2])(0.5)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in FLOAT_CALLS],
+                         ids=[name for name, _ in FLOAT_CALLS])
+def test_float_is_refused(call):
+    with pytest.raises(DomainError, match="not the float 0."):
+        call()
 
 
 # One value of every record class and its repr, captured when the classes
