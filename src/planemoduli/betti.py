@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from . import ktheory
 from .errors import ConventionError, DomainError
-from .exactmath import QPoly, _Value, grassmannian_poincare, projective_poincare
+from .exactmath import QPoly, _require_ints, _Value, grassmannian_poincare, projective_poincare
 from .ktheory import ChernP2, euler_hom
 
 MAX_HILB_POINTS = 12
@@ -41,13 +41,15 @@ MAX_HILB_POINTS = 12
 # ---------------------------------------------------------------------------
 # Hilbert schemes of points
 
-@cache
+# typed, so that True or 2.0 reaches the guard, not the value cached for 1 or 2
+@lru_cache(maxsize=None, typed=True)
 def hilb_poincare(n: int) -> QPoly:
     """Poincare polynomial of the Hilbert scheme of n plane points.
 
     Coefficient of z^n in prod_{k>=1} of the three geometric series in
     q^{k-1} z^k, q^k z^k, q^{k+1} z^k, truncated at order n.
     """
+    _require_ints(n)
     if not 0 <= n <= MAX_HILB_POINTS:
         raise DomainError(f"Hilbert scheme size must be in 0..{MAX_HILB_POINTS}")
     series: list[QPoly] = [QPoly.zero()] * (n + 1)
@@ -115,6 +117,7 @@ def _coprime_shape(m: int, dv: "DimVector | tuple[int, int]") -> DimVector:
     if m < 1:
         raise DomainError("the quiver needs at least one arrow")
     dv = DimVector(*dv)
+    _require_ints(m, *dv)
     if dv.e < 0 or dv.f < 0 or dv == (0, 0):
         raise DomainError(f"invalid dimension vector {dv}")
     if math.gcd(dv.e, dv.f) != 1:
@@ -152,8 +155,7 @@ def _hn_stack_count(m: int, e: int, f: int, q: int) -> Fraction:
 
     The rows binomials[n][k] = [n k]_q come from one q-Pascal pass at this
     integer q, [n k] = [n-1 k-1] + q^k [n-1 k]; no Grassmannian polynomial
-    is built or cached, so the polynomials of exactmath stay a separate
-    route.
+    is built, so the polynomials of exactmath stay a separate route.
     """
     powers = [q ** k for k in range(max(e, f) + 1)]
     binomials = [[1]]
@@ -272,6 +274,7 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
     package.
     """
     e, f = _coprime_shape(m, dv)
+    _require_ints(p)
     if m * e * f > MAX_BRUTE_FORCE_EXPONENT:
         raise DomainError(
             f"enumeration of p^{m * e * f} tuples is infeasible "

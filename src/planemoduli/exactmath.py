@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import cache
 from operator import add, attrgetter, neg, sub
 
 from .errors import DomainError, ExactDivisionError
@@ -171,6 +170,16 @@ def _frac(x: Scalar) -> Fraction:
     if isinstance(x, float):
         raise DomainError(_FLOAT_REFUSED.format(x))
     return Fraction(x)
+
+
+def _require_ints(*values) -> None:
+    """Refuse a float or a bool where an integer count or dimension is due.
+
+    2.0 would fail later as a bare TypeError, and True would pass as 1.
+    """
+    for value in values:
+        if isinstance(value, (float, bool)):
+            raise DomainError(f"expected an integer, got {value!r}")
 
 
 def _signed_sum(terms: Iterable[tuple[Scalar, str]], times: str = "*") -> str:
@@ -365,35 +374,17 @@ def projective_poincare(n: int) -> QPoly:
 
     1 + q + ... + q**n, with q marking cohomological degree 2.
     """
+    _require_ints(n)
     if n < 0:
         raise DomainError("projective space dimension must be nonnegative")
     return QPoly((1,) * (n + 1))
 
 
-#: largest Grassmannian dimension k (n - k) accepted; the q-Pascal rows
-#: cost grows roughly with its square: gr:100:200 takes 0.86-1.04 s
-#: in-process and 0.93-1.11 s as a cold `betti --space gr:100:200`, at
-#: 34 MB peak RSS (5 runs each, 2-vCPU x86-64 VM, Python 3.11.7)
+#: largest Grassmannian dimension k (n - k) accepted; gr:100:200, the
+#: costliest accepted shape, takes 0.16-0.24 s as a cold `betti --space
+#: gr:100:200 --at 1`, at 17.2-17.4 MB peak RSS, 1.9 MB above gr:2:9's
+#: (10 runs, 2-vCPU x86-64 VM, Python 3.11.7; BENCH_36.json)
 MAX_GRASSMANNIAN_DIMENSION = 10_000
-
-
-@cache
-def _gaussian(k: int, n: int) -> QPoly:
-    # q-Pascal, one row at a time over the columns j <= k:
-    # [r j] = [r-1 j-1] + q^j [r-1 j].  The coefficients of [r j] are
-    # nonnegative and sum to C(r, j), which is at most C(n, k) when
-    # k <= n/2, so each polynomial is carried as its value at
-    # q = 256^width and its coefficients are read back as base-q digits.
-    if k == 0:  # [n 0] = 1, with no row to run through
-        return QPoly.one()
-    width = (math.comb(n, k).bit_length() + 7) // 8
-    row = [1] + [0] * k
-    for r in range(1, n + 1):
-        for j in range(min(k, r), 0, -1):
-            row[j] = row[j - 1] + (row[j] << (8 * width * j))
-    data = row[k].to_bytes(width * (k * (n - k) + 1), "little")
-    return QPoly([int.from_bytes(data[i:i + width], "little")
-                  for i in range(0, len(data), width)])
 
 
 def grassmannian_poincare(k: int, n: int) -> QPoly:
@@ -402,12 +393,32 @@ def grassmannian_poincare(k: int, n: int) -> QPoly:
     Equals the Poincare polynomial of the Grassmannian Gr(k, n); at q = 1
     it specializes to the ordinary binomial coefficient.
     """
+    _require_ints(k, n)
     if not 0 <= k <= n:
         raise DomainError(f"Gaussian binomial needs 0 <= k <= n, got k={k}, n={n}")
     if k * (n - k) > MAX_GRASSMANNIAN_DIMENSION:
         raise DomainError(f"Gr({k}, {n}) has dimension {k * (n - k)}, above the "
                           f"limit {MAX_GRASSMANNIAN_DIMENSION}")
-    return _gaussian(min(k, n - k), n)
+    # [n k] is the product over i <= k of (1 - q^(m+i)) / (1 - q^i), k <= m.
+    # Each [m+i i] has nonnegative coefficients summing to at most C(n, k), so
+    # it is carried as its value at q = 256^width modulo q^(i m + 1), past its
+    # degree i m; there 1 - q^i has the inverse prod_j (1 + q^(i 2^j)).
+    k = min(k, n - k)
+    m = n - k
+    width = (math.comb(n, k).bit_length() + 7) // 8
+    bits = 8 * width
+    value = 1
+    for i in range(1, k + 1):
+        top = bits * (i * m + 1)
+        mask = (1 << top) - 1
+        value = (value - (value << bits * (m + i))) & mask
+        shift = bits * i
+        while shift < top:
+            value = (value + (value << shift)) & mask
+            shift *= 2
+    data = value.to_bytes(width * (k * m + 1), "little")
+    return QPoly([int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)])
 
 
 def is_palindromic(p: QPoly) -> bool:

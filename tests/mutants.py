@@ -1,5 +1,6 @@
-"""Mutation run over the finite-field oracle, the wall stream and the float
-check of the exact constructors: how many slips their tests catch.
+"""Mutation run over the finite-field oracle, the wall stream, the float
+check of the exact constructors and the Gaussian binomial product: how
+many slips their tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
@@ -29,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src", "planemoduli")
 ORACLE = ("tests/test_fieldcount.py", "tests/test_betti.py")
 WALLS = ("tests/test_walls.py", "tests/test_cli.py", "tests/test_cli_fuzz.py")
+BINOMIAL = ("tests/test_exactmath.py", "tests/test_betti.py")
 
 #: (file in the package, old text, new text, the slip, the test files run);
 #: a slip that ends in "(equivalent)" changes no result and is not counted
@@ -99,6 +101,12 @@ MUTANTS = [
     ("exactmath.py", "    if isinstance(x, float):\n        raise", "    if False:\n        raise",
      "let the exact constructors store a float as its binary Fraction",
      ("tests/test_exactmath.py",)),
+    ("exactmath.py", "top = bits * (i * m + 1)", "top = bits * i * m",
+     "mask each partial product one digit short, dropping its top coefficient", BINOMIAL),
+    ("exactmath.py", "(value << bits * (m + i))", "(value << bits * i)",
+     "multiply by 1 - q^i instead of 1 - q^(m+i)", BINOMIAL),
+    ("exactmath.py", "while shift < top:", "while 2 * shift < top:",
+     "stop doubling one factor short of the inverse of 1 - q^i", BINOMIAL),
 ]
 
 
@@ -127,7 +135,7 @@ def main(argv: list[str]) -> None:
     chosen = [int(a) for a in argv] or range(len(MUTANTS))
     killed = counted = 0
     with tempfile.TemporaryDirectory() as workdir:
-        if run(None, Path(workdir), (*ORACLE, *WALLS)):
+        if run(None, Path(workdir), (*ORACLE, *WALLS, "tests/test_exactmath.py")):
             sys.exit("the tests fail without any mutant")
         for index in chosen:
             name, _, _, slip, tests = MUTANTS[index]

@@ -1,27 +1,28 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity by a route disjoint from the library
-implementation it checks: the Gaussian binomial by its product formula
-instead of the Pascal recurrence, Hilbert-scheme Betti numbers by counting
-torus-fixed-point cells instead of expanding the generating function,
-Kronecker moduli point counts by plain enumeration with row reduction
-instead of normal forms and preimage bitmasks, the number of matrices of
-one rank through the Gaussian binomial instead of its closed product,
-potential walls by stepping through candidates one wall_between call at
-a time instead of the closed-form ranges of the concentric rank-zero
-walls, the
-Harder-Narasimhan stack count by its chain sum in Fractions instead of
-integers scaled by the group orders, products on
-(curve) x plane through their plane and p parts instead of the six
-coefficients at once, and intersection degrees through the full product
-ch(family) * Td * ch(w) instead of its one p h^2 coefficient.  Td * ch,
-the two Euler pairings, the orthogonal wall class, its divisor, the
-truncated exponential and the four test families are also kept in
+implementation it checks: the Gaussian binomial by the q-Pascal rows and
+by its product formula expanded in polynomials instead of the product
+taken modulo a power of a packed digit base, Hilbert-scheme Betti
+numbers by counting torus-fixed-point cells instead of expanding the
+generating function, Kronecker moduli point counts by plain enumeration
+with row reduction instead of normal forms and preimage bitmasks, the
+number of matrices of one rank through the Gaussian binomial instead of
+its closed product, potential walls by stepping through candidates one
+wall_between call at a time instead of the closed-form ranges of the
+concentric rank-zero walls, the Harder-Narasimhan stack count by its
+chain sum in Fractions instead of integers scaled by the group orders,
+products on (curve) x plane through their plane and p parts instead of
+the six coefficients at once, and intersection degrees through the full
+product ch(family) * Td * ch(w) instead of its one p h^2 coefficient.
+Td * ch, the two Euler pairings, the orthogonal wall class, its divisor,
+the truncated exponential and the four test families are also kept in
 Fractions, step by step, against the library's integer numerators.
 rand_chern draws the random Chern characters that several test modules
 share.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -45,6 +46,25 @@ def gaussian_binomial_product(k: int, n: int) -> QPoly:
         num = num * (QPoly.one().shifted(n - k + i) - QPoly.one())
         den = den * (QPoly.one().shifted(i) - QPoly.one())
     return num.exact_div(den)
+
+
+def gaussian_binomial_pascal(k: int, n: int) -> QPoly:
+    """[n choose k]_q by the q-Pascal rows [r j] = [r-1 j-1] + q^j [r-1 j].
+
+    One row at a time over the columns j <= min(k, n - k).  The
+    coefficients of [r j] are nonnegative and sum to C(r, j) <= C(n, k), so
+    each polynomial is carried as its value at q = 256^width and its
+    coefficients are read back as base-q digits.
+    """
+    k = min(k, n - k)
+    width = (math.comb(n, k).bit_length() + 7) // 8
+    row = [1] + [0] * k
+    for r in range(1, n + 1):
+        for j in range(min(k, r), 0, -1):
+            row[j] = row[j - 1] + (row[j] << (8 * width * j))
+    data = row[k].to_bytes(width * (k * (n - k) + 1), "little")
+    return QPoly([int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)])
 
 
 @cache

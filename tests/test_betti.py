@@ -63,6 +63,10 @@ class TestHilbPoincare:
             hilb_poincare(-1)
         with pytest.raises(DomainError):
             hilb_poincare(13)
+        hilb_poincare(1), hilb_poincare(2)  # cached, and True == 1, 2.0 == 2 as keys
+        for n in (True, 2.0):
+            with pytest.raises(DomainError, match="expected an integer"):
+                hilb_poincare(n)
 
 
 class TestHilbModelPoincare:
@@ -212,6 +216,10 @@ class TestKroneckerPoincare:
             kronecker_poincare(3, (0, 0))
         with pytest.raises(DomainError):
             kronecker_poincare(3, (-1, 2))
+        # (3, (True, 1)) would pass as N(3; 1, 1), P^2's polynomial
+        for m, dv in ((3, (5.0, 4)), (3, (True, 1)), (3.0, (1, 1))):
+            with pytest.raises(DomainError, match="expected an integer"):
+                kronecker_poincare(m, dv)
 
     def test_size_limit(self):
         with pytest.raises(DomainError):
@@ -281,11 +289,18 @@ class TestChainSum:
         assert betti._hn_stack_count(m, e, f, base) == \
             hn_stack_count_by_fractions(m, e, f, base)
 
-    def test_builds_no_grassmannian_polynomial(self):
+    def test_builds_no_grassmannian_polynomial(self, monkeypatch):
+        calls = []
+
+        def recorded(k, n):
+            calls.append((k, n))
+            return grassmannian_poincare(k, n)
+
+        monkeypatch.setattr(exactmath, "grassmannian_poincare", recorded)
+        monkeypatch.setattr(betti, "grassmannian_poincare", recorded)
         betti._hn_stack_count.cache_clear()
-        exactmath._gaussian.cache_clear()
         kronecker_poincare(3, (5, 4))
-        assert exactmath._gaussian.cache_info().currsize == 0
+        assert calls == []
 
 
 class TestBruteForce:
@@ -334,6 +349,9 @@ class TestBruteForce:
         for m, dv in ((3, (1, 1)), (1, (1, 0))):
             with pytest.raises(DomainError):
                 brute_force_kronecker_count(m, dv, 2 ** 61 - 1)
+        for m, dv, p in ((3, (1, 1), 2.0), (3, (1, 1), True), (3, (True, 1), 2)):
+            with pytest.raises(DomainError, match="expected an integer"):
+                brute_force_kronecker_count(m, dv, p)
 
     @pytest.mark.parametrize("m, dv, p, message", [
         (3, (7, 1), 2, r"p\^21 tuples"),         # m e f = 21, one above the limit

@@ -165,8 +165,8 @@ class TestTextOutput:
         assert out == "17064\n"
 
     def test_deep_grassmannian(self, capsys):
-        # the Pascal recurrence runs 1500 rows deep without a traceback,
-        # and [n 0] = [n n] = 1 runs no rows at all
+        # a deep Gr(2, 1500) runs without a traceback, and
+        # [n 0] = [n n] = 1 is the empty product, with no step at all
         for argv, expected in (
                 (["gr:2:1500", "--at", "1"], "1124250\n"),
                 (["gr:0:" + str(10 ** 12)], "1\n"),

@@ -16,7 +16,8 @@ from planemoduli.exactmath import (QPoly, grassmannian_poincare,
                                    projective_poincare)
 from planemoduli.ktheory import ChernP2, HilbertPolynomial
 from planemoduli.walls import ReferenceWallSystem, Wall
-from oracles import N6_COEFFICIENTS, gaussian_binomial_product
+from oracles import (N6_COEFFICIENTS, gaussian_binomial_pascal,
+                     gaussian_binomial_product)
 
 
 class TestRational:
@@ -142,6 +143,9 @@ class TestProjectivePoincare:
     def test_negative_dimension_rejected(self):
         with pytest.raises(DomainError):
             projective_poincare(-1)
+        for n in (2.0, True):
+            with pytest.raises(DomainError, match="expected an integer"):
+                projective_poincare(n)
 
 
 class TestGrassmannianPoincare:
@@ -163,6 +167,15 @@ class TestGrassmannianPoincare:
             for k in range(n + 1):
                 assert grassmannian_poincare(k, n) == gaussian_binomial_product(k, n)
 
+    def test_matches_both_oracles(self):
+        # every shape with n <= 30, then longer and wider ones; the
+        # product oracle takes the smaller side, which keeps it quick
+        shapes = [(k, n) for n in range(31) for k in range(n + 1)]
+        for k, n in shapes + [(2, 3000), (10, 60), (25, 60), (7, 200)]:
+            p = grassmannian_poincare(k, n)
+            assert p == gaussian_binomial_pascal(k, n)
+            assert p == gaussian_binomial_product(min(k, n - k), n)
+
     def test_symmetry_and_palindromicity(self):
         for n in range(13):
             for k in range(n + 1):
@@ -175,6 +188,10 @@ class TestGrassmannianPoincare:
             grassmannian_poincare(3, 2)
         with pytest.raises(DomainError):
             grassmannian_poincare(-1, 2)
+        # (True, 3) would pass as (1, 3), P^2's polynomial
+        for k, n in ((2.0, 5), (2, 5.0), (True, 3), (0, True)):
+            with pytest.raises(DomainError, match="expected an integer"):
+                grassmannian_poincare(k, n)
 
     def test_dimension_limit(self):
         assert grassmannian_poincare(1, 10_001).degree == 10_000
