@@ -8,11 +8,11 @@ the package, not argparse, words an invalid choice and a leading "--".
 
 Each command returns its output and never prints: a str, a dict (the
 --json payload) or an iterable of output pieces.  `walls` returns its table,
-text or --json, as pieces made row by row while they are written, after
-every check has run; --svg first writes the picture, semicircles about the
-one center, arc by arc from the same stream of candidates.  That is the only
-way to the SVG writer.  run() writes the result, so any error leaves stdout
-empty.
+text or --json, in pieces written as they are made from the finished rows of
+walls._candidates, after every check has run; the text widths come from the
+runs' ends, fed through that generator.  --svg first writes the picture, arc
+by arc from the same stream, the only way to the SVG writer.  run() writes
+the result, so any error leaves stdout empty.
 
 Exit codes: 0 on success, 1 on a usage error, 2 on a domain error.
 
@@ -119,7 +119,7 @@ def _cmd_walls(args) -> Iterator[str]:
     from . import divisors, ktheory, walls
 
     d = args.degree
-    x0, s, runs = walls._wall_runs(d)  # the guards raise here, before any output
+    x0, runs = walls._wall_runs(d)  # the guards raise here, before any output
     # destabilizers of walls known to be actual, from curated tables, by (r, c, 2 ch_2)
     if d == 6:
         from . import betti
@@ -129,22 +129,16 @@ def _cmd_walls(args) -> Iterator[str]:
         actual = {divisors.first_wall_destabilizer(d)}
     divisor = {(v.r, v.c, ktheory._twice_ch2(v)): divisors.wall_divisor(d, v)
                for v in (*actual, ktheory.line_bundle(0))}
-    spans = {c: (lo, hi, tt, g, den) for c, lo, hi, tt, g, den, _, _ in runs}
     if args.svg is not None:
         # by descending radius around the one center x0, so the first is the widest
-        def radius(c: int, n: int) -> float:
-            _, _, tt, g, den = spans[c]
-            return math.sqrt((tt - 2 * s * n) // g / den)  # = sqrt(Fraction(num, den))
+        _write_svg(args.svg, float(x0), (math.sqrt(num / den)  # = sqrt(Fraction(num, den))
+                                         for num, den, _, _ in walls._candidates(runs)))
 
-        _write_svg(args.svg, float(x0), itertools.starmap(radius, walls._candidates(runs)))
-
-    def cells(c: int, n: int) -> tuple:
-        _, _, tt, g, den = spans[c]
-        num, m = (tt - 2 * s * n) // g, c * c - 2 * n  # m = 2 ch_2
-        return (f"{num}" if g == s else f"{num}/{den}",
+    def cells(num: int, den: int, c: int, m: int) -> tuple:
+        return (f"{num}" if den == 1 else f"{num}/{den}",
                 f"1,{c},{m // 2}" if m % 2 == 0 else f"1,{c},{m}/2", divisor.get((1, c, m)))
 
-    rows = (cells(c, n) for c, n in walls._candidates(runs))
+    rows = itertools.starmap(cells, walls._candidates(runs))
     center = str(x0)
     if args.json:
         return _walls_json(d, center, rows)
@@ -153,15 +147,13 @@ def _cmd_walls(args) -> Iterator[str]:
         return (center, rsq, cand, "potential" if div is None else "actual",
                 "-" if div is None else str(div))
 
-    # the widest cells: radius_sq and 2 ch_2 fall as n grows and 2 ch_2 keeps
-    # c's parity, so a run's widest sit at its ends; then the curated rows
-    curated = [(c, (c * c - m) // 2) for r, c, m in divisor
-               if r == 1 and c in spans and (c * c - m) % 2 == 0
-               and spans[c][0] <= (c * c - m) // 2 <= spans[c][1]]
+    # the widest cells: radius_sq and 2 ch_2 fall as n grows and 2 ch_2 keeps c's
+    # parity, so a run's widest sit at its ends; each curated class is a candidate,
+    # and the last column, rstripped, needs no width
+    ends = [(c, n, n, *rest) for c, lo, hi, *rest in runs for n in (lo, hi)]
     header = ("center", "radius_sq", "destabilizer", "status", "divisor")
-    widest = [header, *(line(*cells(c, n)) for c, n in
-                        [(c, n) for c, lo, hi, *_ in runs for n in (lo, hi)] + curated)]
-    if sum(hi - lo + 1 for _, lo, hi, *_ in runs) > len(curated):
+    widest = [header, *(line(*cells(*row)) for row in walls._candidates(ends))]
+    if sum(hi - lo + 1 for _, lo, hi, *_ in runs) > len(divisor):
         widest.append(line("", "", None))  # a potential row
     template = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*widest))
     return (template.format(*row).rstrip() + "\n"

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import ktheory
 from .errors import ConventionError, DomainError
-from .exactmath import Scalar, _frac, _signed_sum, _Value, _Vector
+from .exactmath import Scalar, _frac, _require_ints, _signed_sum, _Value, _Vector
 from .ktheory import ChernP2
 
 
@@ -65,6 +65,7 @@ class FamilyClass(_Value):
 
 def genus(d: int) -> int:
     """Arithmetic genus (d-1)(d-2)/2 of a smooth plane curve of degree d."""
+    _require_ints(d)
     if d < 1:
         raise DomainError("degree must be at least 1")
     return (d - 1) * (d - 2) // 2
@@ -81,6 +82,7 @@ def first_wall_destabilizer(d: int) -> ChernP2:
     Ideal sheaf of (d-2)/2 points twisted by (d-2)/2 for even d, the line
     bundle O((d-3)/2) for odd d.
     """
+    _require_ints(d)
     if d < 3:
         raise DomainError("first wall is defined for degree >= 3")
     if d % 2 == 0:
@@ -191,12 +193,11 @@ def family_class(kind: str, d: int) -> FamilyClass:
     """
     from .chow import ChowCurveP2  # here: only this and intersection_degree need chow
 
-    if d < 1:
-        raise DomainError("degree must be at least 1")
+    g = genus(d)  # refuses a degree that is not an int or is below 1
     if kind == "pencil":
         p_part = (1, 0, 0)
     elif kind == "jacobian":
-        p_part = (0, d, Fraction(2 - 2 * genus(d) - 3 * d, 2))
+        p_part = (0, d, Fraction(2 - 2 * g - 3 * d, 2))
     elif kind == "even_wall":
         if d % 2 != 0:
             raise DomainError("even_wall family needs an even degree")

@@ -22,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConventionError, DomainError
-from .exactmath import Scalar, _frac, _signed_sum, _Value, _Vector, parse_int, parse_rational
+from .exactmath import (Scalar, _frac, _require_ints, _signed_sum, _Value, _Vector, parse_int,
+                        parse_rational)
 
 
 class ChernP2(_Vector):
@@ -63,11 +64,12 @@ def parse_chern(text: str) -> ChernP2:
 
 def line_bundle(k: int) -> ChernP2:
     """ch of O(k): (1, k, k^2/2)."""
-    return ChernP2(1, k, Fraction(k * k, 2))
+    return ideal_twisted(0, k)
 
 
 def ideal_twisted(n: int, k: int) -> ChernP2:
     """ch of the ideal sheaf of n plane points twisted by k: (1, k, k^2/2 - n)."""
+    _require_ints(n, k)
     if n < 0:
         raise DomainError("number of points must be nonnegative")
     return ChernP2(1, k, Fraction(k * k - 2 * n, 2))
@@ -80,11 +82,13 @@ def point() -> ChernP2:
 
 def line_support(k: int) -> ChernP2:
     """ch of O_l(k) for a line l: (0, 1, k - 1/2)."""
+    _require_ints(k)
     return ChernP2(0, 1, k - Fraction(1, 2))
 
 
 def moduli(d: int) -> ChernP2:
     """ch of the sheaves parameterized by the degree-d moduli space: (0, d, (2-3d)/2)."""
+    _require_ints(d)
     if d < 1:
         raise DomainError("moduli degree must be at least 1")
     return ChernP2(0, d, Fraction(2 - 3 * d, 2))
@@ -97,6 +101,7 @@ def dual(v: ChernP2) -> ChernP2:
 
 def twist(v: ChernP2, k: int) -> ChernP2:
     """Tensor with O(k): (r, c + k r, e + k c + k^2 r / 2)."""
+    _require_ints(k)
     return ChernP2(v.r, v.c + k * v.r, v.e + k * v.c + Fraction(k * k * v.r, 2))
 
 
@@ -155,6 +160,9 @@ class HilbertPolynomial(_Value):
 
     __slots__ = ("quadratic", "linear", "constant")
 
+    def __init__(self, quadratic: Scalar, linear: Scalar, constant: Scalar):
+        super().__init__(_frac(quadratic), _frac(linear), _frac(constant))
+
     def __call__(self, m: int) -> Fraction:
         return self.quadratic * m * m + self.linear * m + self.constant
 
@@ -166,5 +174,4 @@ class HilbertPolynomial(_Value):
 def hilbert_polynomial(v: ChernP2) -> HilbertPolynomial:
     """chi(v(m)) = (r/2) m^2 + (c + 3r/2) m + (e + 3c/2 + r)."""
     r, linear, constant = _td_ch(v)
-    return HilbertPolynomial(quadratic=Fraction(r, 2), linear=linear,
-                             constant=constant)
+    return HilbertPolynomial(Fraction(r, 2), linear, constant)

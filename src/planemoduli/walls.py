@@ -92,14 +92,14 @@ def wall_between(v: ChernP2, w: ChernP2) -> Wall:
     return Wall(x, radius_sq)
 
 
-def _wall_runs(d: int) -> tuple[Fraction, int, list[tuple[int, ...]]]:
-    """x0, s = 4 d^2 and the runs (c, n_min, n_max, t^2, g, s // g, q, r), by r.
+def _wall_runs(d: int) -> tuple[Fraction, list[tuple[int, ...]]]:
+    """x0 and the runs (c, n_min, n_max, num, step, den, q, r), by r.
 
-    Candidate I_Z(c) = (1, c, c^2/2 - n) has the key 2 s n - t^2 = -s r^2,
-    for t = 2 d (x0 - c), and the code key * w + c, w = d // 2 + 1, which
-    ascends as r^2 descends.  It steps by S = 2 s w along one c, so it is
-    (n + q) S + r for (q, r) = divmod(c - t^2 w, S).  g = gcd(t^2, s) is
-    gcd(key, s) for every n: s // g is the one denominator of c's radii."""
+    Candidate I_Z(c) = (1, c, c^2/2 - n) has the key 2 s n - t^2 = -s r^2, for
+    s = 4 d^2 and t = 2 d (x0 - c), so r^2 = (num - step n)/den in lowest terms:
+    g = gcd(t^2, s) is gcd(key, s), num = t^2/g, step = 2s/g, den = s/g.  The
+    code key * w + c, w = d // 2 + 1, ascends as r^2 descends; it steps by
+    S = 2 s w along one c, so it is (n + q) S + r, (q, r) = divmod(c - t^2 w, S)."""
     if not 3 <= d <= MAX_WALL_DEGREE:
         raise DomainError("potential wall enumeration " + (
             "needs degree >= 3" if d < 3 else f"is limited to degree <= {MAX_WALL_DEGREE}"))
@@ -115,19 +115,21 @@ def _wall_runs(d: int) -> tuple[Fraction, int, list[tuple[int, ...]]]:
         n_max = math.floor((tt - s_lo) / (2 * s))
         if n_min <= n_max:
             g = math.gcd(tt, s)
-            runs.append((c, n_min, n_max, tt, g, s // g, *divmod(c - tt * w, 2 * s * w)))
+            runs.append((c, n_min, n_max, tt // g, 2 * s // g, s // g,
+                         *divmod(c - tt * w, 2 * s * w)))
     runs.sort(key=lambda run: run[7])
-    return x0, s, runs
+    return x0, runs
 
 
-def _candidates(runs: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
-    """(c, n) of every candidate by ascending code: by band n + q, then by r."""
+def _candidates(runs: list[tuple[int, ...]]) -> Iterator[tuple[int, int, int, int]]:
+    """Rows (num, den, c, c^2 - 2n = 2 ch_2) by ascending code: by band n + q, then r."""
     edges = sorted({e for _, lo, hi, _, _, _, q, _ in runs for e in (lo + q, hi + q + 1)})
     for b0, b1 in zip(edges, edges[1:]):  # a run holds all or none of b0..b1 - 1
-        band = [(c, q) for c, lo, hi, _, _, _, q, _ in runs if lo + q <= b0 <= hi + q]
+        band = [(c, q, *row) for c, lo, hi, *row, q, _ in runs if lo + q <= b0 <= hi + q]
         for b in range(b0, b1):
-            for c, q in band:
-                yield c, b - q
+            for c, q, num, step, den in band:
+                n = b - q
+                yield num - step * n, den, c, c * c - 2 * n
 
 
 def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
@@ -140,8 +142,7 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     by descending r^2, so candidates sharing a wall are adjacent.  Potential
     walls only: whether one is actual is curated data, not a numeric test.
     """
-    x0, s, runs = _wall_runs(d)
-    shared = {c: (tt, g, den) for c, _, _, tt, g, den, _, _ in runs}
+    x0, runs = _wall_runs(d)
     # built unchecked, valid by construction: n >= 0, ch_2 = (c^2 - 2n)/2 makes
     # c_2 integral, every key is negative, so radius_sq > 0; the few distinct
     # ch_2 are shared.  Fields are stored as _Value._make would, without its frame.
@@ -156,9 +157,7 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
     paused = gc.isenabled()
     gc.disable()
     try:
-        for i, (c, n) in enumerate(_candidates(runs)):
-            tt, g, den = shared[c]
-            m = c * c - 2 * n
+        for i, (num, den, c, m) in enumerate(_candidates(runs)):
             e = ch2.get(m)
             if e is None:
                 e = ch2[m] = Fraction(m, 2)
@@ -167,7 +166,7 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
             set_c(cand, c)
             set_e(cand, e)
             rsq = new(fraction)
-            set_numerator(rsq, (tt - 2 * s * n) // g)
+            set_numerator(rsq, num)
             set_denominator(rsq, den)
             wall = new(Wall)
             set_center(wall, x0)

@@ -81,21 +81,21 @@ MUTANTS = [
     ("walls.py", "n_max = math.floor((tt - s_lo) / (2 * s))",
      "n_max = math.ceil((tt - s_lo) / (2 * s))",
      "round n_max up, inside the collapsing wall", WALLS),
-    ("walls.py", "set_denominator(rsq, den)", "set_denominator(rsq, s // g)",
+    ("walls.py", "set_denominator(rsq, den)", "set_denominator(rsq, -(-den))",
      "build each radius's denominator anew instead of sharing its c's", WALLS),
     # at every accepted degree the header "destabilizer" is wider than each
     # destabilizer cell and the curated first wall holds the widest radius
     ("cli.py", "for n in (lo, hi)]", "for n in (lo, lo)]",
      "take the text widths from each run's n_min end only (equivalent)", WALLS),
-    ("cli.py", "for _, lo, hi, *_ in runs) > len(curated)",
-     "for _, lo, hi, *_ in runs) >= len(curated)",
+    ("cli.py", "for _, lo, hi, *_ in runs) > len(divisor)",
+     "for _, lo, hi, *_ in runs) >= len(divisor)",
      "widen the status column for a table without potential rows", WALLS),
     ("cli.py", "top = next(radii)", "top = min(radii)",
      "take the picture's top from the last candidate instead of the first", WALLS),
     ("cli.py", "lo, hi = center - top, center + top", "lo, hi = center - top, center - top",
      "put the picture's right end at x0 - top", WALLS),
-    ("cli.py", "(tt - 2 * s * n) // g / den", "(tt - 2 * s * n) / den",
-     "draw each radius from the unreduced numerator, without // g", WALLS),
+    ("cli.py", "math.sqrt(num / den)", "math.sqrt(num // den)",
+     "draw each radius from the floor of its radius_sq", WALLS),
     ("cli.py", "itertools.chain([top], radii)", "radii",
      "drop the outermost arc, the one read for the top", WALLS),
     ("exactmath.py", "    if isinstance(x, float):\n        raise", "    if False:\n        raise",
@@ -107,6 +107,8 @@ MUTANTS = [
      "multiply by 1 - q^i instead of 1 - q^(m+i)", BINOMIAL),
     ("exactmath.py", "while shift < top:", "while 2 * shift < top:",
      "stop doubling one factor short of the inverse of 1 - q^i", BINOMIAL),
+    ("walls.py", "c * c - 2 * n\n", "c * c - n\n",
+     "give every row 2 ch_2 = c^2 - n instead of c^2 - 2n", WALLS),
 ]
 
 

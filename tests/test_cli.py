@@ -635,15 +635,20 @@ HUGE_VALUE_POINTS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def gr_100_200() -> QPoly:
+    return _space_poly("gr:100:200")
+
+
 class TestHugeValues:
     @pytest.mark.parametrize("at, up_front", HUGE_VALUE_POINTS,
                              ids=[at[:12] for at, _ in HUGE_VALUE_POINTS])
-    def test_gr_100_200(self, capsys, at, up_front):
+    def test_gr_100_200(self, capsys, gr_100_200, at, up_front):
         argv = ["betti", "--space", "gr:100:200", "--at", at]
         assert run_capture(capsys, argv) == (2, "", TOO_MANY_DIGITS)
         if up_front:  # cheap now, so under --json too
             assert run_capture(capsys, argv + ["--json"]) == (2, "", TOO_MANY_DIGITS)
-        assert _value_too_long(_space_poly("gr:100:200"), Fraction(at)) == up_front
+        assert _value_too_long(gr_100_200, Fraction(at)) == up_front
 
     def test_refuses_only_what_str_refuses(self):
         # at the least limit Python allows, over points whose numerators and

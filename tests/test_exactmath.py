@@ -9,13 +9,14 @@ from planemoduli.betti import (Bundle, DimVector, Grassmannian, Hilb,
                                HilbModel, KroneckerModuli, Projective,
                                WallRecord)
 from planemoduli.chow import ChowCurveP2, ChowP2, exp_class
+from planemoduli import divisors, ktheory
 from planemoduli.divisors import DivisorAL, FamilyClass
 from planemoduli.errors import DomainError, ExactDivisionError
 from planemoduli.exactmath import (QPoly, grassmannian_poincare,
                                    is_palindromic, parse_int, parse_rational,
                                    projective_poincare)
 from planemoduli.ktheory import ChernP2, HilbertPolynomial
-from planemoduli.walls import ReferenceWallSystem, Wall
+from planemoduli.walls import ReferenceWallSystem, Wall, enumerate_potential_walls
 from oracles import (N6_COEFFICIENTS, gaussian_binomial_pascal,
                      gaussian_binomial_product)
 
@@ -231,6 +232,33 @@ FLOAT_CALLS = [
                          ids=[name for name, _ in FLOAT_CALLS])
 def test_float_is_refused(call):
     with pytest.raises(DomainError, match="not the float 0."):
+        call()
+
+
+# A degree, a count or a twist is an int: 6.0 would reach Fraction as a bare
+# TypeError or come back as a float, and True would pass as 1.
+NON_INT_CALLS = [
+    ("nef_generators", lambda: divisors.nef_generators(6.0)),
+    ("effective_generators", lambda: divisors.effective_generators(6.0)),
+    ("enumerate_potential_walls", lambda: enumerate_potential_walls(6.0)),
+    ("wall_divisor", lambda: divisors.wall_divisor(6.0, ktheory.line_bundle(0))),
+    ("first_wall_destabilizer", lambda: divisors.first_wall_destabilizer(6.0)),
+    ("family_class", lambda: divisors.family_class("pencil", 6.0)),
+    ("genus", lambda: divisors.genus(6.0)),
+    ("genus(True)", lambda: divisors.genus(True)),
+    ("line_bundle", lambda: ktheory.line_bundle(True)),
+    ("ideal_twisted", lambda: ktheory.ideal_twisted(2.0, 2)),
+    ("line_support", lambda: ktheory.line_support(True)),
+    ("moduli", lambda: ktheory.moduli(True)),
+    ("twist", lambda: ktheory.twist(ChernP2(1, 0, 0), 1.0)),
+    ("HilbertPolynomial", lambda: HilbertPolynomial(0.5, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in NON_INT_CALLS],
+                         ids=[name for name, _ in NON_INT_CALLS])
+def test_non_integer_is_refused(call):
+    with pytest.raises(DomainError):
         call()
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from planemoduli import walls
+from planemoduli.betti import m6_wall_records
 from planemoduli.divisors import first_wall_destabilizer
 from planemoduli.errors import (AmbiguousChamberError, DomainError,
                                 EmptyWallError, NoWallError)
@@ -140,8 +141,8 @@ def traced(call):
 class TestWallKeys:
     @pytest.mark.parametrize("d", [*range(3, 31), 120])
     def test_one_sorted_negative_key_per_candidate(self, d):
-        x0, s, runs = walls._wall_runs(d)
-        w = d // 2 + 1
+        x0, runs = walls._wall_runs(d)
+        s, w = 4 * d * d, d // 2 + 1
         tts = [(2 * d * (x0 - c)) ** 2 for c in range(w)]
         assert all(tt.denominator == 1 for tt in tts)
         # every (key, c, n) between the collapsing and first walls, by search,
@@ -151,16 +152,22 @@ class TestWallKeys:
         expected = sorted((2 * s * n - int(tt), c, n) for c, tt in enumerate(tts)
                           for n in range(int(tt) // (2 * s) + 1)
                           if lo <= tt - 2 * s * n <= hi)
-        streamed = [(2 * s * n - int(tts[c]), c, n) for c, n in walls._candidates(runs)]
+        rows = list(walls._candidates(runs))
+        assert all((c * c - m) % 2 == 0 for _, _, c, m in rows)
+        points = [(c, (c * c - m) // 2) for _, _, c, m in rows]
+        streamed = [(2 * s * n - int(tts[c]), c, n) for c, n in points]
         assert streamed == expected
         assert all(key < 0 for key, _, _ in streamed)
+        # each row's num/den is its radius_sq -key/s in lowest terms
+        assert all(den > 0 and math.gcd(num, den) == 1 and num * s == -key * den
+                   for (num, den, _, _), (key, _, _) in zip(rows, streamed))
         # one run per c with candidates, by ascending residue r, where the
         # code key * w + c of (c, n) is (n + q) S + r
         spans: dict[int, list[int]] = {}
         for _, c, n in expected:
             spans.setdefault(c, []).append(n)
         assert sorted(run[:6] for run in runs) == \
-            [(c, min(ns), max(ns), tts[c], g, s // g)
+            [(c, min(ns), max(ns), int(tts[c]) // g, 2 * s // g, s // g)
              for c, ns in sorted(spans.items()) for g in [math.gcd(int(tts[c]), s)]]
         residues = [r for *_, r in runs]
         assert residues == sorted(residues) and 0 <= residues[0]
@@ -179,6 +186,25 @@ class TestWallKeys:
             # besides its result the enumeration holds O(d): the runs and
             # the distinct ch_2 values, with no list of keys or codes
             assert peak <= 1.05 * kept
+
+    def test_every_curated_class_is_a_candidate(self):
+        # the walls table sizes its columns from the runs' ends alone: at
+        # every accepted degree each curated destabilizer, and O, lies
+        # inside its c's run, and only d = 3 has no candidate besides them
+        m6 = {rec.destabilizer for rec in m6_wall_records()}
+        no_potential_row = []
+        for d in range(3, walls.MAX_WALL_DEGREE + 1):
+            _, runs = walls._wall_runs(d)
+            curated = (m6 if d == 6 else {first_wall_destabilizer(d)}) | {line_bundle(0)}
+            spans = {c: (lo, hi) for c, lo, hi, *_ in runs}
+            for v in curated:
+                n = Fraction(v.c ** 2, 2) - v.e
+                assert v.r == 1 and n.denominator == 1 and v.c in spans, (d, v)
+                assert spans[v.c][0] <= n <= spans[v.c][1], (d, v)
+            total = sum(hi - lo + 1 for lo, hi in spans.values())
+            if total == len(curated):
+                no_potential_row.append(d)
+        assert no_potential_row == [3]
 
 
 class TestCollectorState:
