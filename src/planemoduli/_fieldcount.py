@@ -49,8 +49,8 @@ def _kernels(p: int, levels: set[int]) -> dict[int, dict[int, int]]:
 
     Vector x is bit sum_i x_i p^i and psi number sum_i psi_i p^i; psi is 0
     or a line representative, whose first nonzero digit is 1.
-    classes[psi][s] holds the vectors with psi . x = s; level j's build
-    level j + 1's and are dropped, and the last level keeps residue 0 alone.
+    classes[psi][s] holds the vectors with psi . x = s; each of level j's is
+    dropped as it builds level j + 1's, and the last level keeps residue 0 alone.
     """
     last, kernels = max(levels), {}
     full, classes = 1, {}  # every vector of j digits; classes of psi != 0
@@ -61,7 +61,8 @@ def _kernels(p: int, levels: set[int]) -> dict[int, dict[int, int]]:
             return kernels
         width, residues = p ** j, range(p if j + 1 < last else 1)
         step = {width: [full << s * width for s in residues]}  # p^j . x = x_j
-        for psi, below in classes.items():
+        while classes:
+            psi, below = classes.popitem()
             for a in range(p):  # psi + a p^j adds a x_j to psi . x
                 step[psi + a * width] = [sum(below[(s - a * c) % p] << c * width
                                              for c in range(p)) for s in residues]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache
 
 from . import ktheory
 from .errors import ConventionError, DomainError
@@ -41,8 +40,6 @@ MAX_HILB_POINTS = 12
 # ---------------------------------------------------------------------------
 # Hilbert schemes of points
 
-# typed, so that True or 2.0 reaches the guard, not the value cached for 1 or 2
-@lru_cache(maxsize=None, typed=True)
 def hilb_poincare(n: int) -> QPoly:
     """Poincare polynomial of the Hilbert scheme of n plane points.
 
@@ -139,7 +136,6 @@ def _quiver_euler(m: int, a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[0] + a[1] * b[1] - m * a[0] * b[1]
 
 
-@cache
 def _hn_stack_count(m: int, e: int, f: int, q: int) -> Fraction:
     """Count of the semistable stack with dimension vector (e, f), at q.
 
@@ -246,8 +242,8 @@ def kronecker_poincare(m: int, dv: "DimVector | tuple[int, int]") -> QPoly:
 # Finite-field brute force
 
 #: largest m e f enumerated; the slowest shape the guards accept, N(2; 9, 1)
-#: at p = 3 and its transpose, takes about 0.3 s and 50 MB in one process
-#: (2-vCPU VM, Python 3.11.7; BENCH_28.json, extreme_shapes).  Its moduli
+#: at p = 3 and its transpose, takes about 0.25 s and 42.5 MB in one process
+#: (2-vCPU VM, Python 3.11.7; BENCH_39.json, oracle_peak).  Its moduli
 #: space has dimension -63 and it counts 0: it stays accepted, so the
 #: oracle confirms an emptiness that kronecker_poincare refuses up front
 MAX_BRUTE_FORCE_EXPONENT = 20

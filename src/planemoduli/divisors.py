@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import ktheory
 from .errors import ConventionError, DomainError
-from .exactmath import Scalar, _frac, _require_ints, _signed_sum, _Value, _Vector
+from .exactmath import Scalar, _frac, _require_class, _require_ints, _signed_sum, _Value, _Vector
 from .ktheory import ChernP2
 
 
@@ -99,6 +99,7 @@ def orthogonal_wall_class(v: ChernP2, vprime: ChernP2) -> ChernP2:
     system and normalizing c = 1 makes the L-coefficient of the resulting
     divisor equal to 1.
     """
+    _require_class(ChernP2, v, vprime)
     # the rows doubled, so every entry is an integer; doubling both sides
     # of Cramer's rule leaves the solution as it is
     (m00, m01, b0), (m10, m11, b1) = [
@@ -123,6 +124,7 @@ def lambda_decompose(w: ChernP2, d: int) -> DivisorAL:
     w = alpha*(point) + beta*(theta class), with beta = c, and the divisor
     is (alpha + beta (1-d)) A + beta L.
     """
+    _require_class(ChernP2, w)
     if ktheory._euler_product2(w, ktheory.moduli(d)):
         raise DomainError("class is not orthogonal to the moduli class; "
                           "its determinant divisor is not defined")
@@ -222,6 +224,8 @@ def intersection_degree(fam: FamilyClass, w: ChernP2) -> Fraction:
     """
     from .chow import _numerators
 
+    _require_class(FamilyClass, fam)
+    _require_class(ChernP2, w)
     ch = fam.chern
     (b0, b1, b2), den = _numerators((ch.ap, ch.aph, ch.aph2))
     r, c, e = ktheory._td_ch2(w)  # twice Td * ch(w)

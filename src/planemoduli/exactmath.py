@@ -182,6 +182,14 @@ def _require_ints(*values) -> None:
             raise DomainError(f"expected an integer, got {value!r}")
 
 
+def _require_class(cls: type, *values) -> None:
+    """Refuse a foreign operand where a cls record is due, as _Vector
+    arithmetic does; reading its fields would raise a bare AttributeError."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise TypeError(f"expected a {cls.__name__}, got {value!r}")
+
+
 def _signed_sum(terms: Iterable[tuple[Scalar, str]], times: str = "*") -> str:
     """Render (coefficient, monomial) terms as "3*q^2 - q + 1"; "0" if all vanish.
 

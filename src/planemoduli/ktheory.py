@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConventionError, DomainError
-from .exactmath import (Scalar, _frac, _require_ints, _signed_sum, _Value, _Vector, parse_int,
-                        parse_rational)
+from .exactmath import (Scalar, _frac, _require_class, _require_ints, _signed_sum, _Value,
+                        _Vector, parse_int, parse_rational)
 
 
 class ChernP2(_Vector):
@@ -96,11 +96,13 @@ def moduli(d: int) -> ChernP2:
 
 def dual(v: ChernP2) -> ChernP2:
     """The derived dual: (r, -c, e)."""
+    _require_class(ChernP2, v)
     return ChernP2(v.r, -v.c, v.e)
 
 
 def twist(v: ChernP2, k: int) -> ChernP2:
     """Tensor with O(k): (r, c + k r, e + k c + k^2 r / 2)."""
+    _require_class(ChernP2, v)
     _require_ints(k)
     return ChernP2(v.r, v.c + k * v.r, v.e + k * v.c + Fraction(k * k * v.r, 2))
 
@@ -146,11 +148,13 @@ def euler_product(v: ChernP2, w: ChernP2) -> Fraction:
     Symmetric in its arguments.  Classes orthogonal to a moduli class
     under this pairing correspond to divisors on the moduli space.
     """
+    _require_class(ChernP2, v, w)
     return Fraction(_euler_product2(v, w), 2)
 
 
 def euler_hom(v: ChernP2, w: ChernP2) -> Fraction:
     """chi(v, w) = sum (-1)^i ext^i(v, w); equals euler_product(dual(v), w)."""
+    _require_class(ChernP2, v, w)
     _, c, e = _td_ch2(w)
     return Fraction(v.r * e - v.c * c + _twice_ch2(v) * w.r, 2)
 
@@ -173,5 +177,6 @@ class HilbertPolynomial(_Value):
 
 def hilbert_polynomial(v: ChernP2) -> HilbertPolynomial:
     """chi(v(m)) = (r/2) m^2 + (c + 3r/2) m + (e + 3c/2 + r)."""
+    _require_class(ChernP2, v)
     r, linear, constant = _td_ch(v)
     return HilbertPolynomial(Fraction(r, 2), linear, constant)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import ktheory
 from .divisors import first_wall_destabilizer
 from .errors import AmbiguousChamberError, DomainError, EmptyWallError, NoWallError
-from .exactmath import Scalar, _frac, _Value
+from .exactmath import Scalar, _frac, _require_class, _Value
 from .ktheory import ChernP2
 
 
@@ -81,6 +81,7 @@ def wall_between(v: ChernP2, w: ChernP2) -> Wall:
     center x = (r e' - r' e) / (r c' - r' c) and squared radius
     x^2 - 2 (c e' - c' e) / (r c' - r' c).
     """
+    _require_class(ChernP2, v, w)
     denom = Fraction(v.r * w.c - w.r * v.c)
     if denom == 0:
         raise NoWallError(f"classes {v} and {w} span no semicircular wall")

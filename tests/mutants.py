@@ -1,6 +1,6 @@
 """Mutation run over the finite-field oracle, the wall stream, the float
-check of the exact constructors and the Gaussian binomial product: how
-many slips their tests catch.
+and operand checks of the exact constructors and the Gaussian binomial
+product: how many slips their tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
@@ -109,6 +109,12 @@ MUTANTS = [
      "stop doubling one factor short of the inverse of 1 - q^i", BINOMIAL),
     ("walls.py", "c * c - 2 * n\n", "c * c - n\n",
      "give every row 2 ch_2 = c^2 - n instead of c^2 - 2n", WALLS),
+    ("exactmath.py", "        if not isinstance(value, cls):\n            raise",
+     "        if False:\n            raise",
+     "let a foreign operand reach the field reads as a bare AttributeError",
+     ("tests/test_exactmath.py",)),
+    ("_fieldcount.py", "while classes:", "while len(classes) > 1:",
+     "leave each level's first class out of the next level's build", ORACLE),
 ]
 
 

@@ -16,7 +16,7 @@ from planemoduli.exactmath import (QPoly, grassmannian_poincare,
                                    is_palindromic, parse_int, parse_rational,
                                    projective_poincare)
 from planemoduli.ktheory import ChernP2, HilbertPolynomial
-from planemoduli.walls import ReferenceWallSystem, Wall, enumerate_potential_walls
+from planemoduli.walls import ReferenceWallSystem, Wall, enumerate_potential_walls, wall_between
 from oracles import (N6_COEFFICIENTS, gaussian_binomial_pascal,
                      gaussian_binomial_product)
 
@@ -259,6 +259,29 @@ NON_INT_CALLS = [
                          ids=[name for name, _ in NON_INT_CALLS])
 def test_non_integer_is_refused(call):
     with pytest.raises(DomainError):
+        call()
+
+
+# A class is a ChernP2: an int in its place would fail on a field read as a
+# bare AttributeError, where _Vector arithmetic raises TypeError.
+FOREIGN_OPERAND_CALLS = [
+    ("euler_hom", lambda: ktheory.euler_hom(ChernP2(1, 0, 0), 3)),
+    ("euler_product", lambda: ktheory.euler_product(ChernP2(1, 0, 0), 3)),
+    ("euler_product-left", lambda: ktheory.euler_product(3, ChernP2(1, 0, 0))),
+    ("dual", lambda: ktheory.dual(3)),
+    ("twist", lambda: ktheory.twist(3, 1)),
+    ("wall_between", lambda: wall_between(ktheory.moduli(6), 3)),
+    ("wall_divisor", lambda: divisors.wall_divisor(6, 3)),
+    ("hilbert_polynomial", lambda: ktheory.hilbert_polynomial(3)),
+    ("intersection_degree",
+     lambda: divisors.intersection_degree(divisors.family_class("pencil", 5), 3)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in FOREIGN_OPERAND_CALLS],
+                         ids=[name for name, _ in FOREIGN_OPERAND_CALLS])
+def test_foreign_operand_is_refused(call):
+    with pytest.raises(TypeError, match="ChernP2"):
         call()
 
 
