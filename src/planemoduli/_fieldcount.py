@@ -16,7 +16,7 @@ phi, so its preimage masks need no matrix at all.
 The module imports nothing from the package: no Gaussian binomial, no
 group order and no chain sum of the recursion it checks enters here.
 
-Sets are Python ints used as bitsets.  A preimage A^{-1}(W) is the
+Sets are Python ints, one bit per element.  A preimage A^{-1}(W) is the
 intersection of the kernels of phi A over a basis phi of the annihilator
 of W, stored as a mask over the p^e vectors of F_p^e; nonzero multiples
 of a functional share one kernel int, and a head's kernels, which see
@@ -24,12 +24,12 @@ f digits only, are tiled.  A tuple's P_W is the AND of its matrices'
 masks and has p^d elements.
 
 What is shared: the masks of each W, one per matrix, and, for the
-innermost free matrices, one verdict bitset per W and per mask reached so
-far, built once as bytes from the groups of matrices with identical
-masks, each free matrix's block of verdicts padded to whole bytes.  What
-is not: there is no orbit weighting beyond the rank normal form of the
-first matrix.  Every tuple still gets its own verdict, one bit of the AND
-over W of these bitsets, and the count is a popcount.
+innermost free matrices, one block of verdict bytes per W and per mask
+reached so far, built once from the groups of matrices with identical
+masks, each free matrix's verdicts padded to whole bytes.  What is not:
+there is no orbit weighting beyond the rank normal form of the first
+matrix.  Every tuple still gets its own verdict, one bit of the AND over
+W of these blocks, each read afresh as an int, and the count is a popcount.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class _Preimages:
     every W.  A verdict block of depth 1 holds bit t for free matrix t in
     (nmat + 7) // 8 big-endian bytes, padding bits 0, and one of depth k
     joins nmat blocks of depth k - 1, the last free matrix first.  Every W
-    shares this layout, so the bitsets int.from_bytes(block, "big") of a
-    tuple's depth free matrices AND bit by bit.
+    shares this layout, so the ints of a tuple's depth free matrices,
+    each read afresh from its cached block, AND bit by bit.
     """
 
     def __init__(self, need: int, masks: list[int], nmat: int):
@@ -121,7 +121,6 @@ class _Preimages:
         # block (entry len(groups)), then one per free matrix, the last first
         self.spread = itemgetter(*[len(groups)] * (-nmat % 8), *which) if masks else None
         self.blocks = {}
-        self.bitsets = {}
 
     def verdicts(self, state: int, depth: int) -> bytes:
         """Verdict block of the tuples of depth free matrices: a bit is set
@@ -149,11 +148,7 @@ class _Preimages:
         return block
 
     def bitset(self, state: int, depth: int) -> int:
-        key = state, depth
-        bits = self.bitsets.get(key)
-        if bits is None:
-            bits = self.bitsets[key] = int.from_bytes(self.verdicts(state, depth), "big")
-        return bits
+        return int.from_bytes(self.verdicts(state, depth), "big")
 
 
 def _images(phi: tuple[int, ...], e: int, p: int) -> list[int]:
@@ -185,7 +180,7 @@ def stable_tuples(m: int, e: int, f: int, p: int) -> int:
     The first matrix runs over the rank normal forms, each weighted by
     _rank_count.  The m - 1 free matrices range over all p^{f e} matrices
     each.  The innermost free matrices, as many as fit in TUPLE_BITS
-    tuples, form the verdict bitsets; the outer ones are enumerated one
+    tuples, form the verdict blocks; the outer ones are enumerated one
     prefix at a time.
     """
     if e < f:

@@ -256,7 +256,8 @@ def _value_too_long(poly: QPoly, x: Fraction) -> bool:
     Once |x| >= 2 max|c_i| + 1, |poly(x)| > |x|**n / 2, so the reduced
     numerator exceeds |a|**n / 2.
     """
-    limit, n, coefficients = sys.get_int_max_str_digits(), poly.degree, poly.coefficients
+    read_limit = getattr(sys, "get_int_max_str_digits", None)  # new in Python 3.10.7
+    limit, n, coefficients = read_limit and read_limit(), poly.degree, poly.coefficients
     if not limit or not n or abs(coefficients[-1]) != 1:
         return False
     bound = 10 ** limit  # the least integer of more than `limit` digits

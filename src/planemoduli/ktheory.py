@@ -109,6 +109,7 @@ def twist(v: ChernP2, k: int) -> ChernP2:
 
 def shift(v: ChernP2) -> ChernP2:
     """Homological shift by one: negates the class."""
+    _require_class(ChernP2, v)
     return -v
 
 

@@ -1,6 +1,7 @@
-"""Mutation run over the finite-field oracle, the wall stream, the float
-and operand checks of the exact constructors and the Gaussian binomial
-product: how many slips their tests catch.
+"""Mutation run over the finite-field oracle, the chain sum's step weight,
+the wall stream, the float, bool and operand checks of the exact
+constructors and the Gaussian binomial product: how many slips their
+tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
@@ -115,6 +116,10 @@ MUTANTS = [
      ("tests/test_exactmath.py",)),
     ("_fieldcount.py", "while classes:", "while len(classes) > 1:",
      "leave each level's first class out of the next level's build", ORACLE),
+    ("betti.py", "q ** (m * (a - ya) * b)", "q ** (m * (b - yb) * a)",
+     "weigh a chain step by q^(m s_b x_a) instead of q^(m s_a x_b)", ORACLE),
+    ("exactmath.py", "isinstance(value, (float, bool))", "isinstance(value, float)",
+     "let a bool pass the integer guard as 0 or 1", ("tests/test_exactmath.py",)),
 ]
 
 

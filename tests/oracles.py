@@ -11,7 +11,8 @@ number of matrices of one rank through the Gaussian binomial instead of
 its closed product, potential walls by stepping through candidates one
 wall_between call at a time instead of the closed-form ranges of the
 concentric rank-zero walls, the Harder-Narasimhan stack count by its
-chain sum in Fractions instead of integers scaled by the group orders,
+chain sum in Fractions, through the quiver's Euler form and group orders
+counted by flags, instead of integers scaled by the group orders,
 products on (curve) x plane through their plane and p parts instead of
 the six coefficients at once, and intersection degrees through the full
 product ch(family) * Td * ch(w) instead of its one p h^2 coefficient.
@@ -28,7 +29,6 @@ from functools import cache
 from itertools import product
 
 from planemoduli import ktheory
-from planemoduli.betti import _gl_order, _quiver_euler
 from planemoduli.chow import ChowCurveP2, ChowP2, coeff, todd_relative
 from planemoduli.divisors import (DivisorAL, FamilyClass, first_wall_destabilizer,
                                   genus)
@@ -155,6 +155,13 @@ def _subspace_bases(n: int, p: int) -> list[list[tuple[int, ...]]]:
     return list(seen.values())
 
 
+def _gl_order_by_flags(n: int, q: int) -> int:
+    """Order of GL_n over the field with q elements, as the number of
+    complete flags times that of their stabilizer, the invertible upper
+    triangular matrices: q^(n (n - 1) / 2) prod_{1 <= i <= n} (q^i - 1)."""
+    return q ** (n * (n - 1) // 2) * math.prod(q ** i - 1 for i in range(1, n + 1))
+
+
 def rank_count_by_grassmannian(f: int, e: int, r: int, p: int) -> int:
     """Number of f x e matrices over F_p of rank r, as [e r]_p choices of a
     row space times prod_{i<r} (p^f - p^i) injective maps onto it."""
@@ -184,13 +191,15 @@ def kronecker_count_by_enumeration(m: int, e: int, f: int, p: int) -> int:
         if all(_rank_mod_p([image(a, v) for a in tup for v in basis], p) * e
                >= len(basis) * f for basis in subspaces):
             stable += 1
-    order = 1
-    for n in (e, f):
-        for i in range(n):
-            order *= p ** n - p ** i
+    order = _gl_order_by_flags(e, p) * _gl_order_by_flags(f, p)
     numerator = stable * (p - 1)
     assert numerator % order == 0
     return numerator // order
+
+
+def _quiver_euler(m: int, a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Euler form of the m-Kronecker quiver: <(e, f), (e', f')> = e e' + f f' - m e f'."""
+    return a[0] * b[0] + a[1] * b[1] - m * a[0] * b[1]
 
 
 def hn_stack_count_by_fractions(m: int, e: int, f: int, q: int) -> Fraction:
@@ -200,7 +209,8 @@ def hn_stack_count_by_fractions(m: int, e: int, f: int, q: int) -> Fraction:
     y -> x multiplies by A(x - y) q^-<x - y, y>, where
     A(a, b) = q^{m a b} / (ord(a) ord(b)) counts all representations.
     """
-    count = {(a, b): Fraction(q ** (m * a * b), _gl_order(a, q) * _gl_order(b, q))
+    count = {(a, b): Fraction(q ** (m * a * b),
+                              _gl_order_by_flags(a, q) * _gl_order_by_flags(b, q))
              for a in range(e + 1) for b in range(f + 1)}
     # slope a / (a + b) above e / (e + f) means a f > b e
     points = sorted((x for x in count if x[0] * f > x[1] * e), key=sum)

@@ -130,25 +130,6 @@ class TestKroneckerPoincare:
         with pytest.raises(DomainError):
             kronecker_poincare(3, (2, 2))
 
-    def test_convention_drift_fails_loudly(self, monkeypatch):
-        # flipping the exponent-ordering convention must abort, not produce
-        # a silently wrong polynomial
-        from planemoduli import betti as betti_module
-        original = betti_module._quiver_euler
-        monkeypatch.setattr(betti_module, "_quiver_euler",
-                            lambda m, a, b: -original(m, a, b))
-        with pytest.raises(ConventionError):
-            betti_module.kronecker_poincare(3, (2, 1))
-
-    def test_convention_drift_fails_loudly_on_larger_vectors(self, monkeypatch):
-        from planemoduli import betti as betti_module
-        original = betti_module._quiver_euler
-        monkeypatch.setattr(betti_module, "_quiver_euler",
-                            lambda m, a, b: -original(m, a, b))
-        for dv in ((3, 2), (5, 4)):
-            with pytest.raises(ConventionError):
-                betti_module.kronecker_poincare(3, dv)
-
     def test_count_drift_fails_the_palindrome_check(self, monkeypatch):
         # one more point in every moduli count keeps the counts integral and
         # the digit count right: only the palindrome test can catch it

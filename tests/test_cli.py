@@ -709,6 +709,14 @@ class TestHugeValues:
         assert got == (0, expected, "")
         assert len(expected) > 5000
 
+    def test_interpreter_without_the_limit(self, capsys, monkeypatch):
+        # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits and no limit
+        argv = ["betti", "--space", "gr:2:5", "--at", "1/2"]
+        expected = run_capture(capsys, argv)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert run_capture(capsys, argv) == expected
+        assert expected[0] == 0
+
 
 #: the planemoduli submodules that one call of each command loads, on top of
 #: cli and the errors and number parsers that every call loads

@@ -270,6 +270,8 @@ FOREIGN_OPERAND_CALLS = [
     ("euler_product-left", lambda: ktheory.euler_product(3, ChernP2(1, 0, 0))),
     ("dual", lambda: ktheory.dual(3)),
     ("twist", lambda: ktheory.twist(3, 1)),
+    ("shift", lambda: ktheory.shift(3)),
+    ("shift-float", lambda: ktheory.shift(2.5)),
     ("wall_between", lambda: wall_between(ktheory.moduli(6), 3)),
     ("wall_divisor", lambda: divisors.wall_divisor(6, 3)),
     ("hilbert_polynomial", lambda: ktheory.hilbert_polynomial(3)),
