@@ -31,7 +31,8 @@ from fractions import Fraction
 
 from . import ktheory
 from .errors import ConventionError, DomainError
-from .exactmath import QPoly, _require_ints, _Value, grassmannian_poincare, projective_poincare
+from .exactmath import (QPoly, _require_class, _require_ints, _Value, grassmannian_poincare,
+                        projective_poincare)
 from .ktheory import ChernP2, euler_hom
 
 MAX_HILB_POINTS = 12
@@ -69,25 +70,24 @@ def _flip(gained: int, lost: int, center: QPoly) -> QPoly:
 def hilb_model_poincare(n: int, k: int) -> QPoly:
     """Poincare polynomial of the k-th birational model of Hilb^n.
 
-    Model 0 is the Hilbert scheme itself.  The supported corrected models
-    are (3,1), (4,1), (4,2), (5,2); the final model (8,6) is a Grassmannian
-    Gr(2,9)-bundle over the plane.
+    Model 0 is the Hilbert scheme.  (3,1), (4,1), (4,2) and (5,2) cross the
+    walls of O(-j) (x) I_W for (j, w) = (1, 0), then (1, 1), after Arcara,
+    Bertram, Coskun and Huizenga (2013): each flips a P^(a-1)-bundle over
+    P^(j(j+3)/2) x Hilb^w into a P^(b-1)-bundle, (a, b) from Euler pairings.
+    The final model (8,6) is a Grassmannian Gr(2,9)-bundle over the plane.
     """
-    plane = projective_poincare(2)
-    match n, k:
-        case _, 0:
-            return hilb_poincare(n)
-        case 3, 1:
-            return hilb_poincare(3) + _flip(0, 3, plane)
-        case 4, 1:
-            return hilb_poincare(4) + _flip(1, 4, plane)
-        case 4, 2:
-            return hilb_model_poincare(4, 1) + _flip(0, 3, plane * plane)
-        case 5, 2:
-            return hilb_poincare(5) + _flip(2, 5, plane) + _flip(1, 4, plane * plane)
-        case 8, 6:
-            return grassmannian_poincare(2, 9) * plane
-    raise DomainError(f"no tabulated birational model (Hilb^{n})_{k}")
+    _require_ints(n, k)
+    if k == 0:
+        return hilb_poincare(n)
+    if (n, k) == (8, 6):
+        return grassmannian_poincare(2, 9) * projective_poincare(2)
+    if (n, k) not in ((3, 1), (4, 1), (4, 2), (5, 2)):
+        raise DomainError(f"no tabulated birational model (Hilb^{n})_{k}")
+    total = hilb_poincare(n)
+    for j, w in ((1, 0), (1, 1))[:k]:
+        a, b = _ext_dims(ktheory.ideal_twisted(n, 0), ktheory.ideal_twisted(w, -j))
+        total += _flip(b - 1, a - 1, projective_poincare(j * (j + 3) // 2) * hilb_poincare(w))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,12 @@ def ext_dims_at_wall(d: int, destab: ChernP2) -> tuple[int, int]:
     so both pairings must come out negative; a nonnegative value raises
     ConventionError instead of being silently flipped.
     """
-    quotient = ktheory.moduli(d) - destab
+    return _ext_dims(ktheory.moduli(d), destab)
+
+
+def _ext_dims(whole: ChernP2, destab: ChernP2) -> tuple[int, int]:
+    """ext_dims_at_wall for any class `whole`: Q = whole - destab."""
+    quotient = whole - destab
     chi_in = euler_hom(quotient, destab)
     chi_out = euler_hom(destab, quotient)
     if chi_in >= 0 or chi_out >= 0:
@@ -373,6 +378,7 @@ def wall_contribution(d: int, rec: WallRecord) -> QPoly:
     (P(P^{a-1}) - P(P^{b-1})) times the polynomial of the flipped locus's
     base, where a and b are the exceptional fiber dimensions.
     """
+    _require_class(WallRecord, rec)
     a, b = ext_dims_at_wall(d, rec.destabilizer)
     return _flip(a - 1, b - 1, space_poincare(rec.base))
 

@@ -28,16 +28,11 @@ import argparse
 import itertools
 import math
 import sys
-from typing import TYPE_CHECKING
+from collections.abc import Iterator
+from fractions import Fraction
 
 from .errors import PlaneModuliError
-from .exactmath import parse_int, parse_rational
-
-if TYPE_CHECKING:
-    from collections.abc import Iterator
-    from fractions import Fraction
-
-    from .exactmath import QPoly
+from .exactmath import QPoly, parse_int, parse_rational
 
 USAGE_ERROR = 1
 DOMAIN_ERROR = 2

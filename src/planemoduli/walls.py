@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import ktheory
 from .divisors import first_wall_destabilizer
 from .errors import AmbiguousChamberError, DomainError, EmptyWallError, NoWallError
-from .exactmath import Scalar, _frac, _require_class, _Value
+from .exactmath import Scalar, _frac, _require_class, _require_ints, _Value
 from .ktheory import ChernP2
 
 
@@ -181,6 +181,8 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
 
 def transform_walls(ws: ReferenceWallSystem, op: str, n: int = 0) -> ReferenceWallSystem:
     """Apply "twist" (centers shift by n) or "dual" (centers negate) to a system."""
+    _require_class(ReferenceWallSystem, ws)
+    _require_ints(n)
     if op == "twist":
         return ws.twisted(n)
     if op == "dual":
@@ -194,26 +196,23 @@ def locate_model(wall: Wall, refs: ReferenceWallSystem) -> int:
     Counts the reference walls strictly enclosing (center, radius); raises
     AmbiguousChamberError if the top point lies exactly on a reference wall.
     """
+    _require_class(Wall, wall)
+    _require_class(ReferenceWallSystem, refs)
     return sum(1 for ref in refs.walls if ref.encloses(wall))
 
 
-def abch_reference_walls(n: int) -> ReferenceWallSystem:
-    """Tabulated wall systems for the Hilbert scheme of n plane points.
+#: (k, w) of each actual wall's destabilizer O(-k) (x) I_W of Hilb^n, outermost first
+_ABCH_DESTABILIZERS = {4: ((1, 0), (1, 1), (2, 0)),
+                       8: ((1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0))}
 
-    For n = 8 the tabulated x-parameters are -17/2 (listed twice in the
-    source table; stored once, since a duplicate cannot change an
-    enclosure count), -15/2, -13/2, -11/2, -5, -9/2, -25/6; each is the
-    center of a wall with squared radius x^2 - 16.  For n = 4 they are
-    -9/2, -7/2, -3 with squared radius x^2 - 8.  Both lists run from the
-    outermost wall inwards.
-    """
-    if n == 8:
-        xs = [Fraction(-17, 2), Fraction(-15, 2), Fraction(-13, 2),
-              Fraction(-11, 2), Fraction(-5), Fraction(-9, 2), Fraction(-25, 6)]
-        shift = 16
-    elif n == 4:
-        xs = [Fraction(-9, 2), Fraction(-7, 2), Fraction(-3)]
-        shift = 8
-    else:
+
+def abch_reference_walls(n: int) -> ReferenceWallSystem:
+    """The actual walls of Hilb^n, outermost first, as Arcara, Bertram, Coskun and
+    Huizenga (2013) tabulate them for n = 4 and 8: the walls of I_Z = (1, 0, -n)
+    against O(-k) (x) I_W, W of w points, so a center x has radius_sq x^2 - 2n.
+    Their n = 8 table lists the wall of (1, 0) twice; it is stored once."""
+    if n not in _ABCH_DESTABILIZERS:
         raise DomainError(f"no tabulated reference walls for Hilb^{n}")
-    return ReferenceWallSystem(f"hilb{n}", tuple(Wall(x, x * x - shift) for x in xs))
+    return ReferenceWallSystem(f"hilb{n}", tuple(
+        wall_between(ktheory.ideal_twisted(n, 0), ktheory.ideal_twisted(w, -k))
+        for k, w in _ABCH_DESTABILIZERS[n]))

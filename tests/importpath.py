@@ -14,14 +14,16 @@ import textwrap
 
 
 @functools.cache
-def loaded_after(code: str) -> frozenset[str]:
-    """Every name in sys.modules once `code` has run in a fresh interpreter,
-    including what site loads: loaded_after("pass") is that baseline."""
+def loaded_after(code: str, *flags: str) -> frozenset[str]:
+    """Every name in sys.modules once `code` has run in a fresh interpreter
+    started with `flags`, including what site loads: loaded_after("pass") is
+    that baseline.  With "-S" no site runs, so nothing is loaded before `code`
+    but what the interpreter itself needs."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = "import sys\n" + textwrap.dedent(code) + "\nprint(*sys.modules)\n"
-    done = subprocess.run([sys.executable, "-c", script],
+    done = subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     return frozenset(done.stdout.splitlines()[-1].split())

@@ -1,7 +1,7 @@
 """Mutation run over the finite-field oracle, the chain sum's step weight,
 the wall stream, the float, bool and operand checks of the exact
-constructors and the Gaussian binomial product: how many slips their
-tests catch.
+constructors, the Gaussian binomial product and the Hilbert-scheme walls
+and flips: how many slips their tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
@@ -32,6 +32,7 @@ PACKAGE = Path("src", "planemoduli")
 ORACLE = ("tests/test_fieldcount.py", "tests/test_betti.py")
 WALLS = ("tests/test_walls.py", "tests/test_cli.py", "tests/test_cli_fuzz.py")
 BINOMIAL = ("tests/test_exactmath.py", "tests/test_betti.py")
+HILBERT = ("tests/test_betti.py", "tests/test_walls.py", "tests/test_acceptance.py")
 
 #: (file in the package, old text, new text, the slip, the test files run);
 #: a slip that ends in "(equivalent)" changes no result and is not counted
@@ -120,6 +121,10 @@ MUTANTS = [
      "weigh a chain step by q^(m s_b x_a) instead of q^(m s_a x_b)", ORACLE),
     ("exactmath.py", "isinstance(value, (float, bool))", "isinstance(value, float)",
      "let a bool pass the integer guard as 0 or 1", ("tests/test_exactmath.py",)),
+    ("betti.py", "_flip(b - 1, a - 1,", "_flip(a - 1, b - 1,",
+     "swap the two fiber dimensions of a Hilbert-scheme flip", HILBERT),
+    ("walls.py", "ideal_twisted(w, -k)", "ideal_twisted(w, k)",
+     "twist the ABCH destabilizer by O(k) instead of O(-k)", HILBERT),
 ]
 
 

@@ -425,6 +425,10 @@ class TestAssembly:
                                 "twist", -5)
         w4 = wall_between(moduli(6), by_label["W4"].destabilizer)
         assert by_label["W4"].base == HilbModel(4, locate_model(w4, hilb4))
+        # W1' sits over model 2 of Hilb^4 on the sub side, twisted by c = 2
+        w1p = wall_between(moduli(6), by_label["W1'"].destabilizer)
+        hilb4_sub = transform_walls(abch_reference_walls(4), "twist", 2)
+        assert by_label["W1'"].base.fiber == HilbModel(4, locate_model(w1p, hilb4_sub))
 
     def test_n6_matches_printed_polynomial(self):
         assert n6_poincare() == QPoly(N6_COEFFICIENTS)

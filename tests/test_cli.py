@@ -746,3 +746,22 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
         cli.run({argv!r})
     """
     assert package_modules(loaded_after(code)) == {"cli", "errors", "exactmath"} | modules
+
+
+#: calls that must not load typing: a cone, a wall table, the M6 polynomial
+#: as JSON and an Euler pairing
+TYPING_FREE_CALLS = [["nef", "--degree", "12"], ["walls", "--degree", "6"],
+                     ["betti", "--space", "M6", "--json"],
+                     ["euler", "--v", "1,-3,9/2", "--w", "1,3,-7/2", "--pairing", "hom"]]
+
+
+@pytest.mark.parametrize("argv", TYPING_FREE_CALLS, ids=[argv[0] for argv in TYPING_FREE_CALLS])
+def test_no_command_loads_typing(argv):
+    # without site: a .pth file that site runs can import typing before any package code
+    code = f"""
+    import contextlib, io
+    from planemoduli import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run({argv!r}) == 0
+    """
+    assert "typing" not in loaded_after(code, "-S")

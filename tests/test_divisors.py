@@ -290,6 +290,10 @@ class TestBasisConversion:
         assert d_in_AL(4) == DivisorAL(-3, 1)
         assert d_in_AL(3) == DivisorAL(-2, 1)
 
+    def test_degree_below_three(self):
+        with pytest.raises(DomainError, match="needs degree >= 3"):
+            d_in_AL(2)
+
 
 class TestTwoRouteAgreement:
     def test_nef_generator_via_wall_family(self):
@@ -349,21 +353,26 @@ class TestAgainstFractionForms:
     """The integer-numerator forms against the Fraction oracles, value and type."""
 
     def test_orthogonal_wall_class_and_errors(self):
-        # random rank-one destabilizers (many give a non-integer rank),
-        # and proportional pairs
+        # proportional pairs; two pairs whose first class has nonzero rank,
+        # with the non-integer ranks -1/2 and -2/3; and random classes against
+        # moduli(d): its doubled row (2, 0, -2d) makes every such rank -d, so
+        # only the rank-deficient error fires there
         rng = random.Random(1904)
-        cases = [(moduli(6), 2 * moduli(6)), (line_bundle(1), -line_bundle(1))]
+        cases = [(moduli(6), 2 * moduli(6)), (line_bundle(1), -line_bundle(1)),
+                 (ChernP2(-2, -2, 1), ChernP2(-2, -1, Fraction(3, 2))),
+                 (ChernP2(-2, -2, 1), ChernP2(-2, 0, 1))]
         for _ in range(400):
             d = rng.choice(DEGREES)
             c = rng.randint(-d, d)
             cases.append((moduli(d), ChernP2(rng.randint(-3, 3), c,
                                              Fraction(c * c, 2) - rng.randint(-d, d * d))))
-        errors = 0
+        errors = []
         for v, vprime in cases:
             expected = outcome(orthogonal_wall_class_by_fractions, v, vprime)
             assert outcome(orthogonal_wall_class, v, vprime) == expected
-            errors += expected.startswith("DomainError")
-        assert 2 < errors < len(cases) // 2
+            errors += [expected] if expected.startswith("DomainError") else []
+        assert 2 < len(errors) < len(cases) // 2
+        assert sum("non-integer rank" in error for error in errors) == 2
 
     def test_wall_divisor_and_nef_generators(self):
         for d in DEGREES:

@@ -7,7 +7,7 @@ import pytest
 
 from planemoduli.betti import (Bundle, DimVector, Grassmannian, Hilb,
                                HilbModel, KroneckerModuli, Projective,
-                               WallRecord)
+                               WallRecord, hilb_model_poincare, wall_contribution)
 from planemoduli.chow import ChowCurveP2, ChowP2, exp_class
 from planemoduli import divisors, ktheory
 from planemoduli.divisors import DivisorAL, FamilyClass
@@ -16,7 +16,9 @@ from planemoduli.exactmath import (QPoly, grassmannian_poincare,
                                    is_palindromic, parse_int, parse_rational,
                                    projective_poincare)
 from planemoduli.ktheory import ChernP2, HilbertPolynomial
-from planemoduli.walls import ReferenceWallSystem, Wall, enumerate_potential_walls, wall_between
+from planemoduli.walls import (ReferenceWallSystem, Wall, abch_reference_walls,
+                               enumerate_potential_walls, locate_model, transform_walls,
+                               wall_between)
 from oracles import (N6_COEFFICIENTS, gaussian_binomial_pascal,
                      gaussian_binomial_product)
 
@@ -252,6 +254,11 @@ NON_INT_CALLS = [
     ("moduli", lambda: ktheory.moduli(True)),
     ("twist", lambda: ktheory.twist(ChernP2(1, 0, 0), 1.0)),
     ("HilbertPolynomial", lambda: HilbertPolynomial(0.5, 1, 1)),
+    ("hilb_model_poincare", lambda: hilb_model_poincare(3.0, 1)),
+    ("hilb_model_poincare(True)", lambda: hilb_model_poincare(4, True)),
+    ("hilb_model_poincare-final", lambda: hilb_model_poincare(8.0, 6.0)),
+    ("abch_reference_walls", lambda: abch_reference_walls(8.0)),
+    ("transform_walls", lambda: transform_walls(abch_reference_walls(8), "twist", True)),
 ]
 
 
@@ -284,6 +291,23 @@ FOREIGN_OPERAND_CALLS = [
                          ids=[name for name, _ in FOREIGN_OPERAND_CALLS])
 def test_foreign_operand_is_refused(call):
     with pytest.raises(TypeError, match="ChernP2"):
+        call()
+
+
+# The same for a wall, a reference system or a wall record: each error names
+# the class that was due.
+FOREIGN_RECORD_CALLS = [
+    ("locate_model", "Wall", lambda: locate_model(5, abch_reference_walls(4))),
+    ("locate_model-refs", "ReferenceWallSystem", lambda: locate_model(Wall(0, 1), 5)),
+    ("transform_walls", "ReferenceWallSystem", lambda: transform_walls(5, "twist", 1)),
+    ("wall_contribution", "WallRecord", lambda: wall_contribution(6, 5)),
+]
+
+
+@pytest.mark.parametrize("cls, call", [case[1:] for case in FOREIGN_RECORD_CALLS],
+                         ids=[name for name, *_ in FOREIGN_RECORD_CALLS])
+def test_foreign_record_is_refused(cls, call):
+    with pytest.raises(TypeError, match=f"expected a {cls}, got 5"):
         call()
 
 

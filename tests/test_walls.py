@@ -266,6 +266,21 @@ class TestReferenceSystems:
             abch_reference_walls(5)
 
 
+#: the centers x of Arcara, Bertram, Coskun and Huizenga's tables, outermost
+#: first, typed from the paper: the package derives them from the destabilizers
+ABCH_CENTERS = {
+    4: [Fraction(-9, 2), Fraction(-7, 2), Fraction(-3)],
+    8: [Fraction(-17, 2), Fraction(-15, 2), Fraction(-13, 2), Fraction(-11, 2),
+        Fraction(-5), Fraction(-9, 2), Fraction(-25, 6)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(ABCH_CENTERS))
+def test_derived_walls_match_the_tabulated_centers(n):
+    expected = tuple(Wall(x, x * x - 2 * n) for x in ABCH_CENTERS[n])
+    assert abch_reference_walls(n).walls == expected
+
+
 class TestTransformWalls:
     def test_twist_moves_centers(self):
         refs = transform_walls(abch_reference_walls(8), "twist", 3)
