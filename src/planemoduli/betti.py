@@ -346,6 +346,10 @@ class WallRecord(_Value):
 
     __slots__ = ("label", "destabilizer", "base")
 
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        _require_class(ChernP2, self.destabilizer)
+
 
 def ext_dims_at_wall(d: int, destab: ChernP2) -> tuple[int, int]:
     """Fiber dimensions (a, b) of the two exceptional projective bundles.

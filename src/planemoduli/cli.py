@@ -211,26 +211,22 @@ def _cmd_euler(args) -> dict | str:
 
 def _space_poly(spec: str) -> QPoly:
     from . import betti
-    from .exactmath import grassmannian_poincare
 
-    if spec == "M6":
-        return betti.assemble_m6()
-    if spec == "N6":
-        return betti.n6_poincare()
-    if spec == "Q6":
-        return betti.q6_poincare()
+    named = {"M6": betti.assemble_m6, "N6": betti.n6_poincare, "Q6": betti.q6_poincare}
+    if spec in named:
+        return named[spec]()
     head, *rest = spec.split(":")
     try:
         nums = [parse_int(s) for s in rest]
     except ValueError:
         raise _UsageError(f"planemoduli betti: error: bad space parameters in {spec!r}")
-    if head == "hilb" and len(nums) in (1, 2):
-        return betti.hilb_model_poincare(nums[0], nums[1] if len(nums) == 2 else 0)
-    if head == "kronecker" and len(nums) == 3:
-        return betti.kronecker_poincare(nums[0], (nums[1], nums[2]))
-    if head == "gr" and len(nums) == 2:
-        return grassmannian_poincare(nums[0], nums[1])
-    raise _UsageError(f"planemoduli betti: error: unknown space {spec!r}")
+    if head == "hilb" and len(nums) == 1:
+        nums.append(0)  # model 0 is the Hilbert scheme
+    space = {("hilb", 2): betti.HilbModel, ("kronecker", 3): betti.KroneckerModuli,
+             ("gr", 2): betti.Grassmannian}.get((head, len(nums)))
+    if space is None:
+        raise _UsageError(f"planemoduli betti: error: unknown space {spec!r}")
+    return betti.space_poincare(space(*nums))
 
 
 def _at_least(base: int, n: int, bound: int) -> bool:

@@ -307,25 +307,21 @@ class QPoly:
     def __call__(self, x: Scalar) -> Scalar:
         """Evaluate at a rational or integer point, exactly.
 
-        At a Fraction a/b of a nonzero polynomial of degree n, Horner's rule
-        runs in integers over sum c_i a**i b**(n - i), and the one gcd is
-        taken when that is divided by b**n: a Fraction at every step would
-        take a gcd per coefficient.
+        At x = a/b (an int is a/1) and degree n, Horner's rule runs in
+        integers over sum c_i a**i b**(n - i), and the one gcd is taken when
+        that is divided by b**n: a Fraction at every step would take a gcd
+        per coefficient.  An int point, or the zero polynomial, gives an int.
         """
-        if not isinstance(x, Fraction) or not self._c:
-            if isinstance(x, float):
-                raise DomainError(_FLOAT_REFUSED.format(x))
-            acc: Scalar = 0
-            for c in reversed(self._c):
-                acc = acc * x + c
-            return acc
+        if not isinstance(x, (int, Fraction)):
+            raise (DomainError(_FLOAT_REFUSED.format(x)) if isinstance(x, float)
+                   else TypeError(f"cannot evaluate a QPoly at {x!r}"))
         a, b = x.numerator, x.denominator
         coefficients = reversed(self._c)
-        acc, den = next(coefficients), 1
+        acc, den = next(coefficients, 0), 1
         for c in coefficients:
             den *= b
             acc = acc * a + c * den
-        return Fraction(acc, den)
+        return Fraction(acc, den) if isinstance(x, Fraction) and self._c else acc
 
     def shifted(self, k: int) -> "QPoly":
         """Multiply by q**k."""

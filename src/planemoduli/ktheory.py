@@ -11,10 +11,10 @@ whose radical cuts out wall divisors.  euler_hom first dualizes its left
 argument and computes the alternating sum of Ext dimensions chi(v, w).
 Call sites must choose explicitly; nothing in this module guesses.
 
-Td * ch and both pairings are evaluated on integers.  2 ch_2 is an
-integer for every class, so twice Td * ch(v) is the integer triple
-(2r, 2c + 3r, 2e + 3c + 2r) of the private kernel _td_ch2, and each
-pairing is one integer over 2: only the returned value is a Fraction.
+Td * ch, both pairings and the Hilbert polynomial are evaluated on
+integers.  2 ch_2 is an integer for every class, so twice Td * ch(v) is
+the integer triple (2r, 2c + 3r, 2e + 3c + 2r) of the private kernel
+_td_ch2, the one Td * ch: only the returned values are Fractions.
 """
 
 from __future__ import annotations
@@ -131,12 +131,6 @@ def _td_ch2(v: ChernP2) -> tuple[int, int, int]:
     return 2 * r, 2 * c + 3 * r, _twice_ch2(v) + 3 * c + 2 * r
 
 
-def _td_ch(v: ChernP2) -> tuple[int, Fraction, Fraction]:
-    """Coefficients of 1, h, h^2 in Td * ch(v) = (r, c + 3r/2, e + 3c/2 + r)."""
-    _, c, e = _td_ch2(v)
-    return v.r, Fraction(c, 2), Fraction(e, 2)
-
-
 def _euler_product2(v: ChernP2, w: ChernP2) -> int:
     """Twice euler_product(v, w), an integer."""
     _, c, e = _td_ch2(w)
@@ -179,5 +173,5 @@ class HilbertPolynomial(_Value):
 def hilbert_polynomial(v: ChernP2) -> HilbertPolynomial:
     """chi(v(m)) = (r/2) m^2 + (c + 3r/2) m + (e + 3c/2 + r)."""
     _require_class(ChernP2, v)
-    r, linear, constant = _td_ch(v)
-    return HilbertPolynomial(Fraction(r, 2), linear, constant)
+    r2, c2, e2 = _td_ch2(v)  # twice Td * ch(v)
+    return HilbertPolynomial(Fraction(r2, 4), Fraction(c2, 2), Fraction(e2, 2))

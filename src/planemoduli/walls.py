@@ -64,6 +64,11 @@ class ReferenceWallSystem(_Value):
 
     __slots__ = ("label", "walls")
 
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        _require_class(str, self.label)
+        _require_class(Wall, *self.walls)
+
     def twisted(self, n: int) -> "ReferenceWallSystem":
         return ReferenceWallSystem(
             f"{self.label}+{n}" if n >= 0 else f"{self.label}{n}",

@@ -1,14 +1,16 @@
 """Mutation run over the finite-field oracle, the chain sum's step weight,
 the wall stream, the float, bool and operand checks of the exact
-constructors, the Gaussian binomial product and the Hilbert-scheme walls
-and flips: how many slips their tests catch.
+constructors, the Gaussian binomial product, the Hilbert-scheme walls
+and flips, the M6 wall records, the Euler pairing, the Todd class and
+the polynomial evaluation: how many slips their tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
 temporary directory, applies the replacement there, runs the mutant's
 own test files with -x and prints whether they failed (killed) or passed
-(survived).  It ends with the kill ratio over the mutants that are not
-equivalent.  The checkout itself is never written.
+(survived), and for a kill the id of the test that failed first.  It
+ends with the kill ratio over the mutants that are not equivalent.  The
+checkout itself is never written.
 
     python tests/mutants.py          # every mutant, a few minutes
     python tests/mutants.py 1 4      # mutants 1 and 4 only
@@ -33,6 +35,7 @@ ORACLE = ("tests/test_fieldcount.py", "tests/test_betti.py")
 WALLS = ("tests/test_walls.py", "tests/test_cli.py", "tests/test_cli_fuzz.py")
 BINOMIAL = ("tests/test_exactmath.py", "tests/test_betti.py")
 HILBERT = ("tests/test_betti.py", "tests/test_walls.py", "tests/test_acceptance.py")
+M6 = ("tests/test_betti.py", "tests/test_acceptance.py", "tests/test_ktheory.py")
 
 #: (file in the package, old text, new text, the slip, the test files run);
 #: a slip that ends in "(equivalent)" changes no result and is not counted
@@ -125,12 +128,25 @@ MUTANTS = [
      "swap the two fiber dimensions of a Hilbert-scheme flip", HILBERT),
     ("walls.py", "ideal_twisted(w, -k)", "ideal_twisted(w, k)",
      "twist the ABCH destabilizer by O(k) instead of O(-k)", HILBERT),
+    ("betti.py", "_flip(a - 1, b - 1,", "_flip(b - 1, a - 1,",
+     "swap the two fiber dimensions of an M6 wall's flip", M6),
+    ("betti.py", '        WallRecord("W5", ChernP2(1, 2, 0), Hilb(2)),\n', "",
+     "drop the M6 wall W5", M6),
+    ("betti.py", "Bundle(HilbModel(4, 2), Hilb(2))", "Bundle(HilbModel(4, 1), Hilb(2))",
+     "put the base of W1' one model of Hilb^4 short", M6),
+    ("ktheory.py", "- v.c * c", "+ v.c * c",
+     "leave the left class of euler_hom undualized", M6),
+    ("ktheory.py", "+ 2 * r", "+ r",
+     "halve the h^2 term of the Todd class", M6),
+    ("exactmath.py", "den *= b", "den *= a",
+     "scale Horner's powers by the numerator instead of the denominator",
+     (*M6, "tests/test_exactmath.py")),
 ]
 
 
-def run(index: int | None, workdir: Path, tests: tuple[str, ...]) -> bool:
+def run(index: int | None, workdir: Path, tests: tuple[str, ...]) -> str | None:
     """Apply mutant `index`, or none, in a fresh copy under `workdir`;
-    True if `tests` fail."""
+    the id of the first test of `tests` that fails, or None if none does."""
     tree = workdir / f"mutant{index}"
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     shutil.copytree(ROOT / "src", tree / "src", ignore=ignore)
@@ -146,20 +162,29 @@ def run(index: int | None, workdir: Path, tests: tuple[str, ...]) -> bool:
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                            *tests], cwd=tree, env=env, capture_output=True, text=True)
     shutil.rmtree(tree)
-    return done.returncode != 0
+    if done.returncode == 0:
+        return None
+    # -x stops at the first failure; the short summary names it
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else f"pytest exit code {done.returncode}"
 
 
 def main(argv: list[str]) -> None:
     chosen = [int(a) for a in argv] or range(len(MUTANTS))
     killed = counted = 0
     with tempfile.TemporaryDirectory() as workdir:
-        if run(None, Path(workdir), (*ORACLE, *WALLS, "tests/test_exactmath.py")):
+        every = sorted({t for *_, tests in MUTANTS for t in tests})
+        if run(None, Path(workdir), tuple(every)):
             sys.exit("the tests fail without any mutant")
         for index in chosen:
             name, _, _, slip, tests = MUTANTS[index]
             equivalent = slip.endswith("(equivalent)")
-            verdict = "killed" if run(index, Path(workdir), tests) else "survived"
+            failed = run(index, Path(workdir), tests)
+            verdict = "killed" if failed else "survived"
             print(f"{index:2} {verdict:8} {name:14} {slip}", flush=True)
+            if failed:
+                print(f"   first failing: {failed}", flush=True)
             if not equivalent:
                 counted += 1
                 killed += verdict == "killed"

@@ -16,6 +16,8 @@ counted by flags, instead of integers scaled by the group orders,
 products on (curve) x plane through their plane and p parts instead of
 the six coefficients at once, and intersection degrees through the full
 product ch(family) * Td * ch(w) instead of its one p h^2 coefficient.
+The Euler characteristics of the moduli spaces M_d come a second way,
+as the Gopakumar-Vafa invariants of local P^2 from its mirror's periods.
 Td * ch, the two Euler pairings, the orthogonal wall class, its divisor,
 the truncated exponential and the four test families are also kept in
 Fractions, step by step, against the library's integer numerators.
@@ -358,6 +360,70 @@ def family_class_by_fractions(kind: str, d: int) -> FamilyClass:
     else:
         cls = exp(1, Fraction(d - 3, 2)) - exp(0, Fraction(-d - 3, 2)) + h2(1)
     return FamilyClass(chern=cls, label=kind, degree_d=d)
+
+
+def _series_mul(a: list, b: list) -> list:
+    """The product of two power series given to the same order, at that order."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def _series_inverse(a: list) -> list:
+    """1 / a, for a power series with a nonzero constant term."""
+    out = [1 / Fraction(a[0])]
+    for n in range(1, len(a)):
+        out.append(-sum(a[i] * out[n - i] for i in range(1, n + 1)) / a[0])
+    return out
+
+
+def _series_exp(a: list) -> list:
+    """exp(a) for a[0] = 0, from n e_n = sum k a_k e_(n-k), the coefficients of e' = a' e."""
+    out = [Fraction(1)]
+    for n in range(1, len(a)):
+        out.append(sum(k * a[k] * out[n - k] for k in range(1, n + 1)) / n)
+    return out
+
+
+def _series_compose(f: list, g: list) -> list:
+    """f(g) for g[0] = 0, by Horner's rule in series."""
+    out = [Fraction(0)] * len(g)
+    for c in reversed(f):
+        out = _series_mul(out, g)
+        out[0] += c
+    return out
+
+
+def gopakumar_vafa(order: int, z_sign: int = -1,
+                   yukawa: Fraction = Fraction(-1, 3)) -> list[Fraction]:
+    """Genus-0 Gopakumar-Vafa invariants n_1..n_order of local P^2 by local
+    mirror symmetry (Chiang, Klemm, Yau and Zaslow, 1999), in exact series.
+
+    With x = z_sign z (z_sign = -1 is the true mirror), the period is
+    theta T = 1 + sum (3n)!/(n!)^3 x^n, theta = z d/dz, and the mirror map
+    is Q = z exp(3 sum (3n - 1)!/(n!)^3 x^n), inverted as a series.  The
+    Yukawa coupling yukawa / ((1 - 27 x) (theta T)^3), re-expanded in Q, is
+    yukawa + sum d^3 N_d Q^d, and N_d = sum over k | d of n_(d/k) / k^3.
+    |n_d| is the Euler characteristic of the degree-d moduli space M_d; no
+    wall, quiver or Hilbert scheme enters.  The values stay Fractions, so
+    a slipped convention shows as a wrong or a non-integer n_d.
+    """
+    def period(n: int, k: int) -> Fraction:
+        return Fraction(math.factorial(3 * n - k), math.factorial(n) ** 3) * z_sign ** n
+
+    theta_t = [Fraction(1)] + [period(n, 0) for n in range(1, order + 1)]
+    z_over_q = _series_inverse(_series_exp([0] + [3 * period(n, 1)
+                                                  for n in range(1, order + 1)]))
+    z_of_q = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+    for _ in range(order):  # z = Q (z / Q)(z), one more order per pass
+        z_of_q = [Fraction(0)] + _series_compose(z_over_q, z_of_q)[:order]
+    discriminant = [Fraction(1), Fraction(-27 * z_sign)] + [Fraction(0)] * (order - 1)
+    cubed = _series_mul(theta_t, _series_mul(theta_t, theta_t))
+    coupling = [yukawa * c for c in _series_inverse(_series_mul(discriminant, cubed))]
+    in_q = _series_compose(coupling, z_of_q)
+    n: dict[int, Fraction] = {}
+    for d in range(1, order + 1):
+        covers = sum(k ** 3 * n[k] for k in range(1, d) if d % k == 0)
+        n[d] = (in_q[d] - covers) / d ** 3
+    return [n[d] for d in range(1, order + 1)]
 
 
 # Printed 21-coefficient polynomial of the 3-Kronecker moduli N(3; 5, 4).

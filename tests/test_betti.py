@@ -18,7 +18,7 @@ from planemoduli.exactmath import (QPoly, grassmannian_poincare,
 from planemoduli.ktheory import ChernP2, point
 from planemoduli.walls import enumerate_potential_walls
 from oracles import (M6_EXT_DIMS, M6_FACTOR_COEFFICIENTS, M6_TABLE,
-                     N6_COEFFICIENTS, hilb_fixed_point_poincare,
+                     N6_COEFFICIENTS, gopakumar_vafa, hilb_fixed_point_poincare,
                      hn_stack_count_by_fractions, partition_triple_count)
 
 
@@ -455,3 +455,28 @@ class TestAssembly:
         contributions = [wall_contribution(6, rec)(1) for rec in records]
         assert contributions == [1944, 2430, 3888, 702, 756, 162]
         assert q6_poincare()(1) + sum(contributions) == 17064
+
+
+class TestGopakumarVafa:
+    """A second route to chi(M_d): |n_d| by local mirror symmetry, which
+    shares no wall, quiver or Hilbert scheme with the assembly."""
+
+    def test_first_invariants(self):
+        assert gopakumar_vafa(7) == [3, -6, 27, -192, 1695, -17064, 188454]
+
+    def test_m6_euler_characteristic(self):
+        assert abs(gopakumar_vafa(6)[5]) == assemble_m6()(1) == 17064
+
+    def test_small_degrees(self):
+        # M_1 is the dual plane, M_2 the P^5 of conics, and M_3 a
+        # P^8-bundle over the plane
+        n1, n2, n3 = gopakumar_vafa(3)
+        assert abs(n1) == projective_poincare(2)(1)
+        assert abs(n2) == projective_poincare(5)(1)
+        assert abs(n3) == space_poincare(Bundle(Projective(8), Projective(2)))(1) == 27
+
+    @pytest.mark.parametrize("slip", [{"z_sign": 1}, {"yukawa": 1}, {"yukawa": -1}],
+                             ids=["z-sign-flipped", "yukawa-minus-third-dropped",
+                                  "yukawa-third-dropped"])
+    def test_a_slipped_convention_changes_n6(self, slip):
+        assert gopakumar_vafa(6, **slip)[5] != -17064

@@ -92,17 +92,26 @@ class TestQPoly:
 
     def test_rational_evaluation_matches_horner_in_fractions(self):
         # the integer Horner pass against Horner's rule over Fractions, the
-        # evaluation it replaced; both give a Fraction, and the zero
-        # polynomial gives the int 0
+        # evaluation it replaced: a Fraction point gives a Fraction, an int
+        # point an int, and the zero polynomial the int 0
         rng = random.Random(7)
         for _ in range(400):
             p = QPoly(rng.randint(-30, 30) for _ in range(rng.randrange(8)))
-            x = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
-            expected = 0
-            for c in reversed(p.coefficients):
-                expected = expected * x + c
-            got = p(x)
-            assert (got, type(got)) == (expected, type(expected))
+            for x in (Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)),
+                      rng.randint(-10 ** 6, 10 ** 6)):
+                expected = 0
+                for c in reversed(p.coefficients):
+                    expected = expected * x + c
+                got = p(x)
+                assert (got, type(got)) == (expected, type(expected))
+
+    @pytest.mark.parametrize("point", ["2", None, QPoly([0, 1]), 2j],
+                             ids=["str", "None", "QPoly", "complex"])
+    def test_a_point_that_is_not_a_rational_is_refused(self, point):
+        with pytest.raises(TypeError, match="cannot evaluate a QPoly"):
+            QPoly([1, 2])(point)
+        with pytest.raises(TypeError, match="cannot evaluate a QPoly"):
+            QPoly()(point)
 
     def test_exact_division(self):
         p = QPoly([-1, 0, 0, 1])  # q^3 - 1
@@ -301,6 +310,13 @@ FOREIGN_RECORD_CALLS = [
     ("locate_model-refs", "ReferenceWallSystem", lambda: locate_model(Wall(0, 1), 5)),
     ("transform_walls", "ReferenceWallSystem", lambda: transform_walls(5, "twist", 1)),
     ("wall_contribution", "WallRecord", lambda: wall_contribution(6, 5)),
+    ("locate_model-ref-wall", "Wall",
+     lambda: locate_model(Wall(0, 1), ReferenceWallSystem("x", (5,)))),
+    ("transform_walls-ref-wall", "Wall",
+     lambda: transform_walls(ReferenceWallSystem("x", (5,)), "twist", 1)),
+    ("ReferenceWallSystem-label", "str", lambda: ReferenceWallSystem(5, ())),
+    ("wall_contribution-destabilizer", "ChernP2",
+     lambda: wall_contribution(6, WallRecord("x", 5, Hilb(2)))),
 ]
 
 
