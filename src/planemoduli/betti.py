@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import ktheory
 from .errors import ConventionError, DomainError
-from .exactmath import (QPoly, _require_class, _require_ints, _Value, grassmannian_poincare,
+from .exactmath import (QPoly, _int, _of, _require_class, _Value, grassmannian_poincare,
                         projective_poincare)
 from .ktheory import ChernP2, euler_hom
 
@@ -47,11 +47,9 @@ def hilb_poincare(n: int) -> QPoly:
     Coefficient of z^n in prod_{k>=1} of the three geometric series in
     q^{k-1} z^k, q^k z^k, q^{k+1} z^k, truncated at order n.
     """
-    _require_ints(n)
-    if not 0 <= n <= MAX_HILB_POINTS:
+    if not 0 <= _int(n) <= MAX_HILB_POINTS:
         raise DomainError(f"Hilbert scheme size must be in 0..{MAX_HILB_POINTS}")
-    series: list[QPoly] = [QPoly.zero()] * (n + 1)
-    series[0] = QPoly.one()
+    series = [QPoly.one()] + [QPoly.zero()] * n
     for k in range(1, n + 1):
         for j in (k - 1, k, k + 1):
             # multiply by the geometric series of q^j z^k, in place
@@ -76,7 +74,7 @@ def hilb_model_poincare(n: int, k: int) -> QPoly:
     P^(j(j+3)/2) x Hilb^w into a P^(b-1)-bundle, (a, b) from Euler pairings.
     The final model (8,6) is a Grassmannian Gr(2,9)-bundle over the plane.
     """
-    _require_ints(n, k)
+    n, k = _int(n), _int(k)
     if k == 0:
         return hilb_poincare(n)
     if (n, k) == (8, 6):
@@ -111,10 +109,11 @@ DimVector.__doc__ = """Dimension vector (e, f) of a quiver representation."""
 
 def _coprime_shape(m: int, dv: "DimVector | tuple[int, int]") -> DimVector:
     """Checks both Kronecker engines share: m >= 1, dv valid and coprime."""
-    if m < 1:
+    if _int(m) < 1:
         raise DomainError("the quiver needs at least one arrow")
-    dv = DimVector(*dv)
-    _require_ints(m, *dv)
+    if len(_of(tuple)(dv)) != 2:
+        raise DomainError(f"invalid dimension vector {dv}")
+    dv = DimVector(*map(_int, dv))
     if dv.e < 0 or dv.f < 0 or dv == (0, 0):
         raise DomainError(f"invalid dimension vector {dv}")
     if math.gcd(dv.e, dv.f) != 1:
@@ -259,7 +258,7 @@ def brute_force_kronecker_count(m: int, dv: "DimVector | tuple[int, int]",
     package.
     """
     e, f = _coprime_shape(m, dv)
-    _require_ints(p)
+    _int(p)
     if m * e * f > MAX_BRUTE_FORCE_EXPONENT:
         raise DomainError(
             f"enumeration of p^{m * e * f} tuples is infeasible "
@@ -320,6 +319,7 @@ class Bundle(SpaceDescriptor):
     """A product, or a fiber bundle with rational fiber: polynomials multiply."""
 
     __slots__ = ("fiber", "base")
+    _kinds = (_of(SpaceDescriptor),) * 2
 
 
 def space_poincare(sd: SpaceDescriptor) -> QPoly:
@@ -345,10 +345,7 @@ class WallRecord(_Value):
     """An actual wall: its destabilizer and the base of the flipped locus."""
 
     __slots__ = ("label", "destabilizer", "base")
-
-    def __init__(self, *fields, **named):
-        super().__init__(*fields, **named)
-        _require_class(ChernP2, self.destabilizer)
+    _kinds = (_of(str), _of(ChernP2), _of(SpaceDescriptor))
 
 
 def ext_dims_at_wall(d: int, destab: ChernP2) -> tuple[int, int]:
@@ -359,6 +356,7 @@ def ext_dims_at_wall(d: int, destab: ChernP2) -> tuple[int, int]:
     so both pairings must come out negative; a nonnegative value raises
     ConventionError instead of being silently flipped.
     """
+    _require_class(ChernP2, destab)
     return _ext_dims(ktheory.moduli(d), destab)
 
 

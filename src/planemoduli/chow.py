@@ -21,16 +21,17 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactmath import Scalar, _frac, _Vector
+from .exactmath import Scalar, _frac, _require_class, _Vector
 
 
 class ChowP2(_Vector):
     """A class c0 + c1*h + c2*h^2 on the plane, truncated at h^3 = 0."""
 
     __slots__ = ("c0", "c1", "c2")
+    _kinds = (_frac,) * 3
 
     def __init__(self, c0: Scalar = 0, c1: Scalar = 0, c2: Scalar = 0):
-        super().__init__(_frac(c0), _frac(c1), _frac(c2))
+        super().__init__(c0, c1, c2)
 
     def __mul__(self, other: "ChowP2 | int | Fraction") -> "ChowP2":
         if other.__class__ is not ChowP2:
@@ -46,11 +47,11 @@ class ChowCurveP2(_Vector):
     """A class on (parameter curve) x plane on the basis {1, h, h^2, p, ph, ph^2}."""
 
     __slots__ = ("a1", "ah", "ah2", "ap", "aph", "aph2")
+    _kinds = (_frac,) * 6
 
     def __init__(self, a1: Scalar = 0, ah: Scalar = 0, ah2: Scalar = 0,
                  ap: Scalar = 0, aph: Scalar = 0, aph2: Scalar = 0):
-        super().__init__(_frac(a1), _frac(ah), _frac(ah2),
-                         _frac(ap), _frac(aph), _frac(aph2))
+        super().__init__(a1, ah, ah2, ap, aph, aph2)
 
     def __mul__(self, other: "ChowCurveP2 | int | Fraction") -> "ChowCurveP2":
         if other.__class__ is not ChowCurveP2:
@@ -103,9 +104,10 @@ def todd_relative() -> ChowCurveP2:
 
 def coeff(x: ChowCurveP2, monomial: str) -> Fraction:
     """The coefficient of the given basis element of {1, h, h2, p, ph, ph2}."""
+    _require_class(ChowCurveP2, x)
     try:
         field = _FIELD_BY_TAG[monomial]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError: an unhashable tag
         raise DomainError(f"unknown Chow monomial tag {monomial!r}; "
                           f"expected one of {', '.join(MONOMIALS)}") from None
     return getattr(x, field)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import ktheory
 from .errors import ConventionError, DomainError
-from .exactmath import Scalar, _frac, _require_class, _require_ints, _signed_sum, _Value, _Vector
+from .exactmath import _frac, _int, _of, _require_class, _signed_sum, _Value, _Vector
 from .ktheory import ChernP2
 
 
@@ -39,9 +39,7 @@ class DivisorAL(_Vector):
     """A divisor class a*A + l*L on the moduli space."""
 
     __slots__ = ("a", "l")
-
-    def __init__(self, a: Scalar, l: Scalar):
-        super().__init__(_frac(a), _frac(l))
+    _kinds = (_frac, _frac)
 
     def __str__(self) -> str:
         return _signed_sum(((self.a, "A"), (self.l, "L")), times="")
@@ -61,12 +59,12 @@ class FamilyClass(_Value):
     """The Chern character (a ChowCurveP2) of a one-parameter family of sheaves."""
 
     __slots__ = ("chern", "label", "degree_d")
+    _kinds = (_of(object), _of(str), _int)  # chern is checked where read, not to load chow
 
 
 def genus(d: int) -> int:
     """Arithmetic genus (d-1)(d-2)/2 of a smooth plane curve of degree d."""
-    _require_ints(d)
-    if d < 1:
+    if _int(d) < 1:
         raise DomainError("degree must be at least 1")
     return (d - 1) * (d - 2) // 2
 
@@ -82,8 +80,7 @@ def first_wall_destabilizer(d: int) -> ChernP2:
     Ideal sheaf of (d-2)/2 points twisted by (d-2)/2 for even d, the line
     bundle O((d-3)/2) for odd d.
     """
-    _require_ints(d)
-    if d < 3:
+    if _int(d) < 3:
         raise DomainError("first wall is defined for degree >= 3")
     if d % 2 == 0:
         n = (d - 2) // 2
@@ -143,7 +140,7 @@ def nef_generators(d: int) -> tuple[DivisorAL, DivisorAL]:
     B is computed from the first wall and must agree with the closed form
     (d-2)^2 (d+2)/8 A + L for even d and (d-1)(d+4)(d-3)/8 A + L for odd.
     """
-    if d < 3:
+    if _int(d) < 3:
         raise DomainError("nef cone generators need degree >= 3")
     b = wall_divisor(d, first_wall_destabilizer(d))
     if d % 2 == 0:
@@ -163,7 +160,7 @@ def effective_generators(d: int) -> tuple[DivisorAL, DivisorAL]:
     L is computed from the collapsing wall, where O destabilizes the
     moduli class, and must agree with the constant L_DIVISOR.
     """
-    if d < 3:
+    if _int(d) < 3:
         raise DomainError("effective cone generators need degree >= 3")
     l = wall_divisor(d, ktheory.line_bundle(0))
     if l != L_DIVISOR:
@@ -222,9 +219,10 @@ def intersection_degree(fam: FamilyClass, w: ChernP2) -> Fraction:
     Td * ch(w) = r + (c + 3r/2) h + (e + 3c/2 + r) h^2 has no p part, so
     only the p part B of ch(family) = A + p B reaches p h^2.
     """
-    from .chow import _numerators
+    from .chow import ChowCurveP2, _numerators
 
     _require_class(FamilyClass, fam)
+    _require_class(ChowCurveP2, fam.chern)
     _require_class(ChernP2, w)
     ch = fam.chern
     (b0, b1, b2), den = _numerators((ch.ap, ch.aph, ch.aph2))
@@ -239,7 +237,7 @@ def d_in_AL(d: int) -> DivisorAL:
     pencil constants A.P = 1, L.P = 0, the Jacobian constants A.T = 0,
     L.T = d*g, and both right-hand sides computed by Riemann-Roch.
     """
-    if d < 3:
+    if _int(d) < 3:
         raise DomainError("basis conversion needs degree >= 3")
     w = d_class(d)
     d_dot_p = intersection_degree(family_class("pencil", d), w)

@@ -17,10 +17,10 @@ appears.  No module of the package divides polynomials; the test oracles
 do, and rely on that error as a correctness check.
 
 The immutable records of the other modules (Chern characters, walls,
-divisors, Chow classes, space descriptors) derive from the value base _Value;
-the linear ones (Chern characters, {A, L} divisors, Chow classes) from its
-subclass _Vector, which adds, subtracts, negates and scales them field by
-field.
+divisors, Chow classes, space descriptors) derive from the value base _Value,
+which coerces each field by the kind its class declares; the linear ones
+(Chern characters, {A, L} divisors, Chow classes) from its subclass _Vector,
+which adds, subtracts, negates and scales them field by field.
 """
 
 from __future__ import annotations
@@ -40,6 +40,42 @@ Scalar = int | Fraction
 _FLOAT_REFUSED = "exact arithmetic takes an int or a Fraction, not the float {!r}"
 
 
+def _int(x: int) -> int:
+    """x, a non-bool int: 2.0 would fail later as a bare TypeError, and True pass as 1."""
+    if x.__class__ is int or isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise (DomainError(f"expected an integer, got {x!r}") if isinstance(x, (float, bool))
+           else TypeError(f"expected an int, got {x!r}"))
+
+
+def _frac(x: Scalar) -> Fraction:
+    """x as a Fraction, without rebuilding one that already is; a float is refused."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, int):
+        raise (DomainError(_FLOAT_REFUSED.format(x)) if isinstance(x, float)
+               else TypeError(f"expected an int or a Fraction, got {x!r}"))
+    return Fraction(x)
+
+
+def _require_class(cls: type, *values) -> None:
+    """Refuse a foreign operand where a cls record is due, as _Vector
+    arithmetic does; reading its fields would raise a bare AttributeError."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise TypeError(f"expected a {cls.__name__}, got {value!r}")
+
+
+def _of(cls: type, many: bool = False):
+    """The kind of a field that holds a cls, or with many a tuple of cls."""
+    def kind(value):
+        if many:
+            _require_class(tuple, value)
+        _require_class(cls, *(value if many else (value,)))
+        return value
+    return kind
+
+
 class _Value:
     """An immutable record whose fields are its class's __slots__.
 
@@ -52,6 +88,7 @@ class _Value:
 
     def __init_subclass__(cls):
         fields = cls.__match_args__ = cls.__slots__
+        cls._kinds = cls.__dict__.get("_kinds", (_int,) * len(fields))
         # the slot descriptors' own setters: __setattr__ below refuses
         cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
         # attrgetter of one name returns the bare value, of none raises
@@ -64,8 +101,8 @@ class _Value:
             values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
         if named or len(values) != len(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
+        for set_field, kind, value in zip(self._setters, self._kinds, values):
+            set_field(self, kind(value))
 
     @classmethod
     def _make(cls, *values):
@@ -163,33 +200,6 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"not a rational number: {text!r}") from exc
 
 
-def _frac(x: Scalar) -> Fraction:
-    """x as a Fraction, without rebuilding one that already is; a float is refused."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise DomainError(_FLOAT_REFUSED.format(x))
-    return Fraction(x)
-
-
-def _require_ints(*values) -> None:
-    """Refuse a float or a bool where an integer count or dimension is due.
-
-    2.0 would fail later as a bare TypeError, and True would pass as 1.
-    """
-    for value in values:
-        if isinstance(value, (float, bool)):
-            raise DomainError(f"expected an integer, got {value!r}")
-
-
-def _require_class(cls: type, *values) -> None:
-    """Refuse a foreign operand where a cls record is due, as _Vector
-    arithmetic does; reading its fields would raise a bare AttributeError."""
-    for value in values:
-        if not isinstance(value, cls):
-            raise TypeError(f"expected a {cls.__name__}, got {value!r}")
-
-
 def _signed_sum(terms: Iterable[tuple[Scalar, str]], times: str = "*") -> str:
     """Render (coefficient, monomial) terms as "3*q^2 - q + 1"; "0" if all vanish.
 
@@ -216,9 +226,12 @@ class QPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coefficients: Iterable[int] = ()):
-        coeffs = list(coefficients)
+        try:
+            coeffs = list(coefficients)
+        except TypeError:  # not iterable
+            raise TypeError(f"expected an iterable of ints, got {coefficients!r}") from None
         for c in coeffs:
-            if not isinstance(c, int):
+            if c.__class__ is not int and (isinstance(c, bool) or not isinstance(c, int)):
                 raise DomainError(f"QPoly coefficients must be integers, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -293,7 +306,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
+        if _int(n) < 0:
             raise DomainError("negative polynomial powers are not defined")
         out = QPoly.one()
         base = self
@@ -325,7 +338,7 @@ class QPoly:
 
     def shifted(self, k: int) -> "QPoly":
         """Multiply by q**k."""
-        if k < 0:
+        if _int(k) < 0:
             raise DomainError("shift exponent must be nonnegative")
         return QPoly((0,) * k + self._c) if self._c else QPoly()
 
@@ -376,11 +389,10 @@ def _as_qpoly(value: "QPoly | int") -> QPoly:
 def projective_poincare(n: int) -> QPoly:
     """Poincare polynomial of n-dimensional complex projective space.
 
-    1 + q + ... + q**n, with q marking cohomological degree 2.
+    1 + q + ... + q**n, with q marking cohomological degree 2, up to Gr(1, n + 1)'s limit.
     """
-    _require_ints(n)
-    if n < 0:
-        raise DomainError("projective space dimension must be nonnegative")
+    if not 0 <= _int(n) <= MAX_GRASSMANNIAN_DIMENSION:
+        raise DomainError(f"projective space dimension must be in 0..{MAX_GRASSMANNIAN_DIMENSION}")
     return QPoly((1,) * (n + 1))
 
 
@@ -397,7 +409,7 @@ def grassmannian_poincare(k: int, n: int) -> QPoly:
     Equals the Poincare polynomial of the Grassmannian Gr(k, n); at q = 1
     it specializes to the ordinary binomial coefficient.
     """
-    _require_ints(k, n)
+    k, n = _int(k), _int(n)
     if not 0 <= k <= n:
         raise DomainError(f"Gaussian binomial needs 0 <= k <= n, got k={k}, n={n}")
     if k * (n - k) > MAX_GRASSMANNIAN_DIMENSION:
@@ -427,6 +439,7 @@ def grassmannian_poincare(k: int, n: int) -> QPoly:
 
 def is_palindromic(p: QPoly) -> bool:
     """Whether the coefficient list reads the same in both directions."""
+    _require_class(QPoly, p)
     if not p:
         raise DomainError("palindromicity of the zero polynomial is undefined")
     return p.coefficients == p.coefficients[::-1]

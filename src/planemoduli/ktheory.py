@@ -22,28 +22,27 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConventionError, DomainError
-from .exactmath import (Scalar, _frac, _require_class, _require_ints, _signed_sum, _Value,
-                        _Vector, parse_int, parse_rational)
+from .exactmath import (Scalar, _frac, _int, _require_class, _signed_sum, _Value, _Vector,
+                        parse_int, parse_rational)
 
 
 class ChernP2(_Vector):
     """Chern character (rank, degree, ch_2) of a class on the plane."""
 
     __slots__ = ("r", "c", "e")
+    _kinds = (int, int, _frac)  # plain ints: a bool field would print as True or False
     _scalars = int  # a rational multiple can break integrality
 
     def __init__(self, r: int, c: int, e: Scalar):
         if not isinstance(r, int) or not isinstance(c, int):
             raise DomainError("rank and degree must be integers")
-        ee = _frac(e)
-        if ee.denominator not in (1, 2):
-            raise DomainError(f"2*ch_2 must be an integer, got ch_2 = {ee}")
-        if ee.denominator != 1 + c % 2:  # ee - c^2/2 is not an integer
+        super().__init__(r, c, e)
+        if self.e.denominator not in (1, 2):
+            raise DomainError(f"2*ch_2 must be an integer, got ch_2 = {self.e}")
+        if self.e.denominator != 1 + c % 2:  # e - c^2/2 is not an integer
             raise DomainError(
                 f"ch_2 - c^2/2 must be an integer (integral second Chern class); "
-                f"got (r, c, e) = ({r}, {c}, {ee})")
-        # plain ints: a bool field would print as True or False
-        super().__init__(int(r), int(c), ee)
+                f"got (r, c, e) = ({r}, {c}, {self.e})")
 
     def __str__(self) -> str:
         return f"{self.r},{self.c},{self.e}"
@@ -69,7 +68,7 @@ def line_bundle(k: int) -> ChernP2:
 
 def ideal_twisted(n: int, k: int) -> ChernP2:
     """ch of the ideal sheaf of n plane points twisted by k: (1, k, k^2/2 - n)."""
-    _require_ints(n, k)
+    n, k = _int(n), _int(k)
     if n < 0:
         raise DomainError("number of points must be nonnegative")
     return ChernP2(1, k, Fraction(k * k - 2 * n, 2))
@@ -82,14 +81,12 @@ def point() -> ChernP2:
 
 def line_support(k: int) -> ChernP2:
     """ch of O_l(k) for a line l: (0, 1, k - 1/2)."""
-    _require_ints(k)
-    return ChernP2(0, 1, k - Fraction(1, 2))
+    return ChernP2(0, 1, _int(k) - Fraction(1, 2))
 
 
 def moduli(d: int) -> ChernP2:
     """ch of the sheaves parameterized by the degree-d moduli space: (0, d, (2-3d)/2)."""
-    _require_ints(d)
-    if d < 1:
+    if _int(d) < 1:
         raise DomainError("moduli degree must be at least 1")
     return ChernP2(0, d, Fraction(2 - 3 * d, 2))
 
@@ -103,7 +100,7 @@ def dual(v: ChernP2) -> ChernP2:
 def twist(v: ChernP2, k: int) -> ChernP2:
     """Tensor with O(k): (r, c + k r, e + k c + k^2 r / 2)."""
     _require_class(ChernP2, v)
-    _require_ints(k)
+    _int(k)
     return ChernP2(v.r, v.c + k * v.r, v.e + k * v.c + Fraction(k * k * v.r, 2))
 
 
@@ -158,9 +155,7 @@ class HilbertPolynomial(_Value):
     """Coefficients of chi(v(m)) as a polynomial in the twist m."""
 
     __slots__ = ("quadratic", "linear", "constant")
-
-    def __init__(self, quadratic: Scalar, linear: Scalar, constant: Scalar):
-        super().__init__(_frac(quadratic), _frac(linear), _frac(constant))
+    _kinds = (_frac,) * 3
 
     def __call__(self, m: int) -> Fraction:
         return self.quadratic * m * m + self.linear * m + self.constant

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import ktheory
 from .divisors import first_wall_destabilizer
 from .errors import AmbiguousChamberError, DomainError, EmptyWallError, NoWallError
-from .exactmath import Scalar, _frac, _require_class, _require_ints, _Value
+from .exactmath import Scalar, _frac, _int, _of, _require_class, _Value
 from .ktheory import ChernP2
 
 
@@ -35,12 +35,12 @@ class Wall(_Value):
     """A semicircular wall: center (x, 0), squared radius radius_sq > 0."""
 
     __slots__ = ("center", "radius_sq")
+    _kinds = (_frac, _frac)
 
     def __init__(self, center: Scalar, radius_sq: Scalar):
-        rsq = _frac(radius_sq)
-        if rsq <= 0:
-            raise EmptyWallError(f"squared radius must be positive, got {rsq}")
-        super().__init__(_frac(center), rsq)
+        super().__init__(center, radius_sq)
+        if self.radius_sq <= 0:
+            raise EmptyWallError(f"squared radius must be positive, got {self.radius_sq}")
 
     def twisted(self, n: int) -> "Wall":
         return Wall(self.center + n, self.radius_sq)
@@ -63,16 +63,10 @@ class ReferenceWallSystem(_Value):
     """The reference walls (a tuple of Wall) of one Hilbert scheme, outermost first."""
 
     __slots__ = ("label", "walls")
-
-    def __init__(self, *fields, **named):
-        super().__init__(*fields, **named)
-        _require_class(str, self.label)
-        _require_class(Wall, *self.walls)
+    _kinds = (_of(str), _of(Wall, many=True))
 
     def twisted(self, n: int) -> "ReferenceWallSystem":
-        return ReferenceWallSystem(
-            f"{self.label}+{n}" if n >= 0 else f"{self.label}{n}",
-            tuple(w.twisted(n) for w in self.walls))
+        return ReferenceWallSystem(f"{self.label}{n:+}", tuple(w.twisted(n) for w in self.walls))
 
     def dualized(self) -> "ReferenceWallSystem":
         return ReferenceWallSystem(f"{self.label}^",
@@ -106,7 +100,7 @@ def _wall_runs(d: int) -> tuple[Fraction, list[tuple[int, ...]]]:
     g = gcd(t^2, s) is gcd(key, s), num = t^2/g, step = 2s/g, den = s/g.  The
     code key * w + c, w = d // 2 + 1, ascends as r^2 descends; it steps by
     S = 2 s w along one c, so it is (n + q) S + r, (q, r) = divmod(c - t^2 w, S)."""
-    if not 3 <= d <= MAX_WALL_DEGREE:
+    if not 3 <= _int(d) <= MAX_WALL_DEGREE:
         raise DomainError("potential wall enumeration " + (
             "needs degree >= 3" if d < 3 else f"is limited to degree <= {MAX_WALL_DEGREE}"))
     v = ktheory.moduli(d)  # rank 0: one center for every candidate
@@ -187,7 +181,7 @@ def enumerate_potential_walls(d: int) -> list[tuple[ChernP2, Wall]]:
 def transform_walls(ws: ReferenceWallSystem, op: str, n: int = 0) -> ReferenceWallSystem:
     """Apply "twist" (centers shift by n) or "dual" (centers negate) to a system."""
     _require_class(ReferenceWallSystem, ws)
-    _require_ints(n)
+    _int(n)
     if op == "twist":
         return ws.twisted(n)
     if op == "dual":
@@ -216,7 +210,7 @@ def abch_reference_walls(n: int) -> ReferenceWallSystem:
     Huizenga (2013) tabulate them for n = 4 and 8: the walls of I_Z = (1, 0, -n)
     against O(-k) (x) I_W, W of w points, so a center x has radius_sq x^2 - 2n.
     Their n = 8 table lists the wall of (1, 0) twice; it is stored once."""
-    if n not in _ABCH_DESTABILIZERS:
+    if _int(n) not in _ABCH_DESTABILIZERS:
         raise DomainError(f"no tabulated reference walls for Hilb^{n}")
     return ReferenceWallSystem(f"hilb{n}", tuple(
         wall_between(ktheory.ideal_twisted(n, 0), ktheory.ideal_twisted(w, -k))

@@ -1,6 +1,6 @@
 """Mutation run over the finite-field oracle, the chain sum's step weight,
-the wall stream, the float, bool and operand checks of the exact
-constructors, the Gaussian binomial product, the Hilbert-scheme walls
+the wall stream, the field kinds and the float, bool and operand checks of
+the exact constructors, the Gaussian binomial product, the Hilbert-scheme walls
 and flips, the M6 wall records, the Euler pairing, the Todd class and
 the polynomial evaluation: how many slips their tests catch.
 
@@ -103,7 +103,7 @@ MUTANTS = [
      "draw each radius from the floor of its radius_sq", WALLS),
     ("cli.py", "itertools.chain([top], radii)", "radii",
      "drop the outermost arc, the one read for the top", WALLS),
-    ("exactmath.py", "    if isinstance(x, float):\n        raise", "    if False:\n        raise",
+    ("exactmath.py", "if not isinstance(x, int):", "if not isinstance(x, (int, float)):",
      "let the exact constructors store a float as its binary Fraction",
      ("tests/test_exactmath.py",)),
     ("exactmath.py", "top = bits * (i * m + 1)", "top = bits * i * m",
@@ -122,7 +122,7 @@ MUTANTS = [
      "leave each level's first class out of the next level's build", ORACLE),
     ("betti.py", "q ** (m * (a - ya) * b)", "q ** (m * (b - yb) * a)",
      "weigh a chain step by q^(m s_b x_a) instead of q^(m s_a x_b)", ORACLE),
-    ("exactmath.py", "isinstance(value, (float, bool))", "isinstance(value, float)",
+    ("exactmath.py", " and not isinstance(x, bool)", "",
      "let a bool pass the integer guard as 0 or 1", ("tests/test_exactmath.py",)),
     ("betti.py", "_flip(b - 1, a - 1,", "_flip(a - 1, b - 1,",
      "swap the two fiber dimensions of a Hilbert-scheme flip", HILBERT),
@@ -141,6 +141,14 @@ MUTANTS = [
     ("exactmath.py", "den *= b", "den *= a",
      "scale Horner's powers by the numerator instead of the denominator",
      (*M6, "tests/test_exactmath.py")),
+    ("exactmath.py", "if not isinstance(x, int):", "if not isinstance(x, (int, str)):",
+     "let a rational field take a string through Fraction(str)", ("tests/test_exactmath.py",)),
+    ("exactmath.py", "_require_class(tuple, value)", "pass",
+     "drop the tuple check of a record kind, so a list of walls is stored",
+     ("tests/test_exactmath.py",)),
+    ("exactmath.py", "(_int,) * len(fields)", "(lambda value: value,) * len(fields)",
+     "store the fields of a class that declares no kinds unchecked",
+     ("tests/test_exactmath.py",)),
 ]
 
 

@@ -51,7 +51,8 @@ class TestHilbPoincare:
         assert hilb_poincare(2) == QPoly([1, 2, 3, 2, 1])
 
     def test_matches_fixed_point_oracle(self):
-        for n in range(7):
+        # every size the guard accepts
+        for n in range(betti.MAX_HILB_POINTS + 1):
             assert hilb_poincare(n) == hilb_fixed_point_poincare(n)
 
     def test_euler_characteristic_counts_partition_triples(self):

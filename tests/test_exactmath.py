@@ -7,8 +7,10 @@ import pytest
 
 from planemoduli.betti import (Bundle, DimVector, Grassmannian, Hilb,
                                HilbModel, KroneckerModuli, Projective,
-                               WallRecord, hilb_model_poincare, wall_contribution)
-from planemoduli.chow import ChowCurveP2, ChowP2, exp_class
+                               WallRecord, brute_force_kronecker_count,
+                               ext_dims_at_wall, hilb_model_poincare, hilb_poincare,
+                               kronecker_poincare, wall_contribution)
+from planemoduli.chow import ChowCurveP2, ChowP2, coeff, exp_class
 from planemoduli import divisors, ktheory
 from planemoduli.divisors import DivisorAL, FamilyClass
 from planemoduli.errors import DomainError, ExactDivisionError
@@ -159,6 +161,15 @@ class TestProjectivePoincare:
             with pytest.raises(DomainError, match="expected an integer"):
                 projective_poincare(n)
 
+    def test_dimension_limit_is_the_grassmannians(self):
+        # P^n is Gr(1, n + 1): a wall of a large degree asks for a fiber
+        # P^4999995, refused up front instead of built
+        assert projective_poincare(10_000) == grassmannian_poincare(1, 10_001)
+        with pytest.raises(DomainError, match=r"must be in 0\.\.10000"):
+            projective_poincare(10_001)
+        with pytest.raises(DomainError, match=r"must be in 0\.\.10000"):
+            wall_contribution(10 ** 6, WallRecord("W5", ChernP2(1, 2, 0), Hilb(2)))
+
 
 class TestGrassmannianPoincare:
     def test_projective_special_case(self):
@@ -268,6 +279,9 @@ NON_INT_CALLS = [
     ("hilb_model_poincare-final", lambda: hilb_model_poincare(8.0, 6.0)),
     ("abch_reference_walls", lambda: abch_reference_walls(8.0)),
     ("transform_walls", lambda: transform_walls(abch_reference_walls(8), "twist", True)),
+    ("KroneckerModuli", lambda: KroneckerModuli(3, 2.0, 1)),
+    ("Hilb(True)", lambda: Hilb(True)),
+    ("FamilyClass(True)", lambda: FamilyClass(ChowCurveP2(), "pencil", True)),
 ]
 
 
@@ -324,6 +338,71 @@ FOREIGN_RECORD_CALLS = [
                          ids=[name for name, *_ in FOREIGN_RECORD_CALLS])
 def test_foreign_record_is_refused(cls, call):
     with pytest.raises(TypeError, match=f"expected a {cls}, got 5"):
+        call()
+
+
+# A value of the wrong kind: each of these was stored, or reached arithmetic or
+# a field read as a bare Python error whose text did not name the kind that
+# was due.  Strings are refused too: a rational field takes an int or a
+# Fraction, and text goes through parse_rational first.
+WRONG_KIND_CALLS = [
+    ("ReferenceWallSystem-list", TypeError, r"expected a tuple, got \[",
+     lambda: ReferenceWallSystem("x", [Wall(0, 1)])),
+    ("ReferenceWallSystem-int", TypeError, "expected a tuple, got 5",
+     lambda: ReferenceWallSystem("x", 5)),
+    ("QPoly-bool", DomainError, "must be integers, got True", lambda: QPoly([True, 1])),
+    ("hilb_poincare", TypeError, "expected an int, got None", lambda: hilb_poincare(None)),
+    ("enumerate_potential_walls", TypeError, "expected an int, got 'x'",
+     lambda: enumerate_potential_walls("x")),
+    ("effective_generators", TypeError, r"expected an int, got \[1\]",
+     lambda: divisors.effective_generators([1])),
+    ("d_in_AL", TypeError, r"expected an int, got \(1,\)", lambda: divisors.d_in_AL((1,))),
+    ("ext_dims_at_wall", TypeError, "expected an int, got None",
+     lambda: ext_dims_at_wall(None, ktheory.line_bundle(0))),
+    ("brute_force_kronecker_count", TypeError, "expected an int, got None",
+     lambda: brute_force_kronecker_count(None, (2, 1), 3)),
+    ("twist", TypeError, "expected an int, got None",
+     lambda: ktheory.twist(ktheory.moduli(6), None)),
+    ("Wall-str", TypeError, "expected an int or a Fraction, got '-4/3'",
+     lambda: Wall("-4/3", "25/9")),
+    ("ChernP2-str", TypeError, "expected an int or a Fraction, got '0'",
+     lambda: ChernP2(1, 2, "0")),
+    ("is_palindromic", TypeError, "expected a QPoly, got 5", lambda: is_palindromic(5)),
+    ("ext_dims_at_wall-destabilizer", TypeError, "expected a ChernP2, got 5",
+     lambda: ext_dims_at_wall(6, 5)),
+    ("nef_generators", TypeError, "expected an int, got None",
+     lambda: divisors.nef_generators(None)),
+    ("kronecker_poincare", TypeError, "expected a tuple, got 5",
+     lambda: kronecker_poincare(3, 5)),
+    ("brute_force_kronecker_count-dv", TypeError, "expected a tuple, got 5",
+     lambda: brute_force_kronecker_count(3, 5, 2)),
+    ("kronecker_poincare-length", DomainError, r"invalid dimension vector \(1,\)",
+     lambda: kronecker_poincare(3, (1,))),
+    ("Projective", TypeError, "expected an int, got 'x'", lambda: Projective("x")),
+    ("Bundle", TypeError, "expected a SpaceDescriptor, got 2",
+     lambda: Bundle(Projective(2), 2)),
+    ("WallRecord-label", TypeError, "expected a str, got 5",
+     lambda: WallRecord(5, ChernP2(1, 2, 0), Hilb(2))),
+    ("FamilyClass-chern", TypeError, "expected a ChowCurveP2, got 5",
+     lambda: divisors.intersection_degree(FamilyClass(5, "pencil", 6),
+                                          ktheory.line_bundle(0))),
+    ("FamilyClass-degree", TypeError, "expected an int, got '6'",
+     lambda: FamilyClass(ChowCurveP2(), "pencil", "6")),
+    ("QPoly-int", TypeError, "expected an iterable of ints, got 5", lambda: QPoly(5)),
+    ("QPoly.__pow__", TypeError, "expected an int, got None", lambda: QPoly([1, 1]) ** None),
+    ("QPoly.shifted", TypeError, "expected an int, got 'x'", lambda: QPoly([1, 1]).shifted("x")),
+    ("coeff", TypeError, "expected a ChowCurveP2, got 3", lambda: coeff(3, "p")),
+    ("coeff-unhashable-tag", DomainError, r"unknown Chow monomial tag \[1\]",
+     lambda: coeff(ChowCurveP2(), [1])),
+    ("abch_reference_walls", TypeError, r"expected an int, got \[1\]",
+     lambda: abch_reference_walls([1])),
+]
+
+
+@pytest.mark.parametrize("error, text, call", [case[1:] for case in WRONG_KIND_CALLS],
+                         ids=[name for name, *_ in WRONG_KIND_CALLS])
+def test_wrong_kind_is_refused(error, text, call):
+    with pytest.raises(error, match=text):
         call()
 
 
