@@ -103,8 +103,13 @@ MAX_KRONECKER_SIZE = 17
 MAX_KRONECKER_DEGREE = 100
 
 
-DimVector = namedtuple("DimVector", ("e", "f"))
-DimVector.__doc__ = """Dimension vector (e, f) of a quiver representation."""
+class DimVector(namedtuple("DimVector", ("e", "f"))):
+    """Dimension vector (e, f) of a quiver representation."""
+
+    __slots__ = ()
+
+    def __new__(cls, e: int, f: int):
+        return super().__new__(cls, _int(e), _int(f))
 
 
 def _coprime_shape(m: int, dv: "DimVector | tuple[int, int]") -> DimVector:
@@ -113,7 +118,7 @@ def _coprime_shape(m: int, dv: "DimVector | tuple[int, int]") -> DimVector:
         raise DomainError("the quiver needs at least one arrow")
     if len(_of(tuple)(dv)) != 2:
         raise DomainError(f"invalid dimension vector {dv}")
-    dv = DimVector(*map(_int, dv))
+    dv = DimVector(*dv)
     if dv.e < 0 or dv.f < 0 or dv == (0, 0):
         raise DomainError(f"invalid dimension vector {dv}")
     if math.gcd(dv.e, dv.f) != 1:

@@ -25,9 +25,9 @@ which adds, subtracts, negates and scales them field by field.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, attrgetter, neg, sub
 
 from .errors import DomainError, ExactDivisionError
@@ -349,6 +349,7 @@ class QPoly:
         forces a non-integer coefficient; callers rely on this to detect
         convention drift.
         """
+        _require_class(QPoly, divisor)
         b = divisor._c
         if not b:
             raise DomainError("division by the zero polynomial")
@@ -397,9 +398,9 @@ def projective_poincare(n: int) -> QPoly:
 
 
 #: largest Grassmannian dimension k (n - k) accepted; gr:100:200, the
-#: costliest accepted shape, takes 0.16-0.24 s as a cold `betti --space
-#: gr:100:200 --at 1`, at 17.2-17.4 MB peak RSS, 1.9 MB above gr:2:9's
-#: (10 runs, 2-vCPU x86-64 VM, Python 3.11.7; BENCH_36.json)
+#: costliest accepted shape, takes 0.11-0.15 s as a cold `betti --space
+#: gr:100:200 --at 1`, at 16.7-17.0 MB peak RSS, 0.9 MB above gr:2:9's
+#: (30 runs, 2-vCPU x86-64 VM, Python 3.11.7; BENCH_49.json)
 MAX_GRASSMANNIAN_DIMENSION = 10_000
 
 
@@ -415,26 +416,17 @@ def grassmannian_poincare(k: int, n: int) -> QPoly:
     if k * (n - k) > MAX_GRASSMANNIAN_DIMENSION:
         raise DomainError(f"Gr({k}, {n}) has dimension {k * (n - k)}, above the "
                           f"limit {MAX_GRASSMANNIAN_DIMENSION}")
-    # [n k] is the product over i <= k of (1 - q^(m+i)) / (1 - q^i), k <= m.
-    # Each [m+i i] has nonnegative coefficients summing to at most C(n, k), so
-    # it is carried as its value at q = 256^width modulo q^(i m + 1), past its
-    # degree i m; there 1 - q^i has the inverse prod_j (1 + q^(i 2^j)).
+    # [n k] is the product over i <= k of (1 - q^(m+i)) / (1 - q^i), k <= m; step i
+    # divides by 1 - q^i as running sums of stride i, up to the degree i m of [m+i i].
     k = min(k, n - k)
     m = n - k
-    width = (math.comb(n, k).bit_length() + 7) // 8
-    bits = 8 * width
-    value = 1
+    c = [1] + [0] * (k * m)
     for i in range(1, k + 1):
-        top = bits * (i * m + 1)
-        mask = (1 << top) - 1
-        value = (value - (value << bits * (m + i))) & mask
-        shift = bits * i
-        while shift < top:
-            value = (value + (value << shift)) & mask
-            shift *= 2
-    data = value.to_bytes(width * (k * m + 1), "little")
-    return QPoly([int.from_bytes(data[i:i + width], "little")
-                  for i in range(0, len(data), width)])
+        top = i * m + 1
+        c[m + i:top] = map(sub, c[m + i:top], c[:top - m - i])
+        for r in range(i):
+            c[r:top:i] = accumulate(c[r:top:i])
+    return QPoly(c)
 
 
 def is_palindromic(p: QPoly) -> bool:

@@ -157,7 +157,8 @@ class HilbertPolynomial(_Value):
     __slots__ = ("quadratic", "linear", "constant")
     _kinds = (_frac,) * 3
 
-    def __call__(self, m: int) -> Fraction:
+    def __call__(self, m: Scalar) -> Fraction:
+        m = _frac(m)
         return self.quadratic * m * m + self.linear * m + self.constant
 
     def __str__(self) -> str:

@@ -43,13 +43,14 @@ class Wall(_Value):
             raise EmptyWallError(f"squared radius must be positive, got {self.radius_sq}")
 
     def twisted(self, n: int) -> "Wall":
-        return Wall(self.center + n, self.radius_sq)
+        return Wall(self.center + _int(n), self.radius_sq)
 
     def dualized(self) -> "Wall":
         return Wall(-self.center, self.radius_sq)
 
     def encloses(self, other: "Wall") -> bool:
         """Whether the top point of `other` lies strictly inside this semicircle."""
+        _require_class(Wall, other)
         gap = (other.center - self.center) ** 2 + other.radius_sq
         if gap == self.radius_sq:
             raise AmbiguousChamberError(f"top point of {other} lies exactly on {self}")
@@ -66,7 +67,8 @@ class ReferenceWallSystem(_Value):
     _kinds = (_of(str), _of(Wall, many=True))
 
     def twisted(self, n: int) -> "ReferenceWallSystem":
-        return ReferenceWallSystem(f"{self.label}{n:+}", tuple(w.twisted(n) for w in self.walls))
+        return ReferenceWallSystem(f"{self.label}{_int(n):+}",
+                                   tuple(w.twisted(n) for w in self.walls))
 
     def dualized(self) -> "ReferenceWallSystem":
         return ReferenceWallSystem(f"{self.label}^",

@@ -1,8 +1,9 @@
 """Mutation run over the finite-field oracle, the chain sum's step weight,
 the wall stream, the field kinds and the float, bool and operand checks of
 the exact constructors, the Gaussian binomial product, the Hilbert-scheme walls
-and flips, the M6 wall records, the Euler pairing, the Todd class and
-the polynomial evaluation: how many slips their tests catch.
+and flips, the M6 wall records, the Euler pairing, the Todd class, the
+polynomial evaluation, the {A, L} coordinates of a divisor, the nef closed
+form and the Chow ring product: how many slips their tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
@@ -36,6 +37,7 @@ WALLS = ("tests/test_walls.py", "tests/test_cli.py", "tests/test_cli_fuzz.py")
 BINOMIAL = ("tests/test_exactmath.py", "tests/test_betti.py")
 HILBERT = ("tests/test_betti.py", "tests/test_walls.py", "tests/test_acceptance.py")
 M6 = ("tests/test_betti.py", "tests/test_acceptance.py", "tests/test_ktheory.py")
+DIVISORS = ("tests/test_divisors.py", "tests/test_chow.py", "tests/test_acceptance.py")
 
 #: (file in the package, old text, new text, the slip, the test files run);
 #: a slip that ends in "(equivalent)" changes no result and is not counted
@@ -106,12 +108,15 @@ MUTANTS = [
     ("exactmath.py", "if not isinstance(x, int):", "if not isinstance(x, (int, float)):",
      "let the exact constructors store a float as its binary Fraction",
      ("tests/test_exactmath.py",)),
-    ("exactmath.py", "top = bits * (i * m + 1)", "top = bits * i * m",
-     "mask each partial product one digit short, dropping its top coefficient", BINOMIAL),
-    ("exactmath.py", "(value << bits * (m + i))", "(value << bits * i)",
+    ("exactmath.py", "top = i * m + 1", "top = i * m",
+     "keep each partial product one coefficient short, dropping its top coefficient",
+     BINOMIAL),
+    ("exactmath.py", "c[m + i:top] = map(sub, c[m + i:top], c[:top - m - i])",
+     "c[i:top] = map(sub, c[i:top], c[:top - i])",
      "multiply by 1 - q^i instead of 1 - q^(m+i)", BINOMIAL),
-    ("exactmath.py", "while shift < top:", "while 2 * shift < top:",
-     "stop doubling one factor short of the inverse of 1 - q^i", BINOMIAL),
+    ("exactmath.py", "for r in range(i):", "for r in range(i - 1):",
+     "leave the last residue class out of the running sums that divide by 1 - q^i",
+     BINOMIAL),
     ("walls.py", "c * c - 2 * n\n", "c * c - n\n",
      "give every row 2 ch_2 = c^2 - n instead of c^2 - 2n", WALLS),
     ("exactmath.py", "        if not isinstance(value, cls):\n            raise",
@@ -149,6 +154,12 @@ MUTANTS = [
     ("exactmath.py", "(_int,) * len(fields)", "(lambda value: value,) * len(fields)",
      "store the fields of a class that declares no kinds unchecked",
      ("tests/test_exactmath.py",)),
+    ("divisors.py", "(3 - 2 * d) * w.c", "(3 - d) * w.c",
+     "weigh c by 3 - d instead of 3 - 2d in a divisor's A coordinate", DIVISORS),
+    ("divisors.py", "(d + 4) * (d - 3), 8)", "(d + 4) * (d - 2), 8)",
+     "take (d - 2) for (d - 3) in the odd degrees' nef closed form", DIVISORS),
+    ("chow.py", "a1 * y0 + ", "",
+     "drop a1 y0, the h * p term, from a Chow product's p h coefficient", DIVISORS),
 ]
 
 

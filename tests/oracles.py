@@ -3,7 +3,7 @@
 Each oracle recomputes a quantity by a route disjoint from the library
 implementation it checks: the Gaussian binomial by the q-Pascal rows and
 by its product formula expanded in polynomials instead of the product
-taken modulo a power of a packed digit base, Hilbert-scheme Betti
+taken as running sums over one coefficient list, Hilbert-scheme Betti
 numbers by counting torus-fixed-point cells instead of expanding the
 generating function, Kronecker moduli point counts by plain enumeration
 with row reduction instead of normal forms and preimage bitmasks, the

@@ -396,7 +396,31 @@ WRONG_KIND_CALLS = [
      lambda: coeff(ChowCurveP2(), [1])),
     ("abch_reference_walls", TypeError, r"expected an int, got \[1\]",
      lambda: abch_reference_walls([1])),
+    # the methods of the records check their arguments as the functions do;
+    # a wall twists by an int, as transform_walls and ktheory.twist do
+    ("Wall.twisted", TypeError, "expected an int, got None", lambda: Wall(0, 1).twisted(None)),
+    ("Wall.twisted-Fraction", TypeError, r"expected an int, got Fraction\(1, 2\)",
+     lambda: Wall(0, 1).twisted(Fraction(1, 2))),
+    ("ReferenceWallSystem.twisted", TypeError, "expected an int, got None",
+     lambda: abch_reference_walls(4).twisted(None)),
+    ("Wall.encloses", TypeError, "expected a Wall, got 5", lambda: Wall(0, 1).encloses(5)),
+    ("QPoly.exact_div", TypeError, "expected a QPoly, got None",
+     lambda: QPoly([1, 1]).exact_div(None)),
+    ("HilbertPolynomial.__call__-float", DomainError, "not the float 2.5",
+     lambda: ktheory.hilbert_polynomial(ktheory.point())(2.5)),
+    ("HilbertPolynomial.__call__", TypeError, "expected an int or a Fraction, got None",
+     lambda: ktheory.hilbert_polynomial(ktheory.point())(None)),
+    ("DimVector", TypeError, "expected an int, got None", lambda: DimVector(None, 2.5)),
+    ("DimVector-bool", DomainError, "expected an integer, got True",
+     lambda: DimVector(True, 1)),
 ]
+
+
+def test_record_methods_keep_int_and_fraction_values():
+    chi = ktheory.hilbert_polynomial(ktheory.point())
+    assert chi(2) == 1 and chi(Fraction(1, 2)) == 1
+    assert Wall(0, 1).twisted(-2) == Wall(-2, 1)
+    assert DimVector(e=1, f=2) == (1, 2) and DimVector(*DimVector(1, 2)) == DimVector(1, 2)
 
 
 @pytest.mark.parametrize("error, text, call", [case[1:] for case in WRONG_KIND_CALLS],

@@ -99,7 +99,7 @@ class TestEnumeratePotentialWalls:
                 assert wall.radius_sq == (center ** 2 + 2 * cand.e
                                           + Fraction(cand.c * (3 * d - 2), d))
 
-    @pytest.mark.parametrize("d", [*range(3, 31), 60])
+    @pytest.mark.parametrize("d", [*range(3, 31), 60, 100])
     def test_matches_stepping_search(self, d):
         assert enumerate_potential_walls(d) == potential_walls_by_search(d)
 
