@@ -111,6 +111,11 @@ class DimVector(namedtuple("DimVector", ("e", "f"))):
     def __new__(cls, e: int, f: int):
         return super().__new__(cls, _int(e), _int(f))
 
+    @classmethod
+    def _make(cls, iterable) -> "DimVector":
+        # _replace builds through _make, so both check their fields here
+        return cls(*iterable)
+
 
 def _coprime_shape(m: int, dv: "DimVector | tuple[int, int]") -> DimVector:
     """Checks both Kronecker engines share: m >= 1, dv valid and coprime."""

@@ -1,9 +1,10 @@
 """Mutation run over the finite-field oracle, the chain sum's step weight,
 the wall stream, the field kinds and the float, bool and operand checks of
 the exact constructors, the Gaussian binomial product, the Hilbert-scheme walls
-and flips, the M6 wall records, the Euler pairing, the Todd class, the
-polynomial evaluation, the {A, L} coordinates of a divisor, the nef closed
-form and the Chow ring product: how many slips their tests catch.
+and flips, the M6 wall records, Td * ch, the Euler pairings and the Hilbert
+polynomial, the polynomial evaluation, the orthogonal wall class, the
+{A, L} coordinates of a divisor, the nef closed form, the Chow ring product
+and the CLI's number guards: how many slips their tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
@@ -38,6 +39,8 @@ BINOMIAL = ("tests/test_exactmath.py", "tests/test_betti.py")
 HILBERT = ("tests/test_betti.py", "tests/test_walls.py", "tests/test_acceptance.py")
 M6 = ("tests/test_betti.py", "tests/test_acceptance.py", "tests/test_ktheory.py")
 DIVISORS = ("tests/test_divisors.py", "tests/test_chow.py", "tests/test_acceptance.py")
+KTHEORY = ("tests/test_ktheory.py", "tests/test_divisors.py", "tests/test_acceptance.py")
+CLI = ("tests/test_cli.py", "tests/test_cli_fuzz.py")
 
 #: (file in the package, old text, new text, the slip, the test files run);
 #: a slip that ends in "(equivalent)" changes no result and is not counted
@@ -160,6 +163,27 @@ MUTANTS = [
      "take (d - 2) for (d - 3) in the odd degrees' nef closed form", DIVISORS),
     ("chow.py", "a1 * y0 + ", "",
      "drop a1 y0, the h * p term, from a Chow product's p h coefficient", DIVISORS),
+    ("ktheory.py", "v.r * e + v.c * c", "v.r * e - v.c * c",
+     "dualize the left class of euler_product", KTHEORY),
+    ("ktheory.py", "2 * c + 3 * r", "2 * c + r",
+     "take r/2 for 3r/2 as the h coefficient of Td * ch", KTHEORY),
+    ("ktheory.py", "Fraction(r2, 4)", "Fraction(r2, 2)",
+     "double the m^2 coefficient of the Hilbert polynomial", KTHEORY),
+    ("ktheory.py", "return 2 * e.numerator // e.denominator",
+     "return e.numerator // e.denominator * 2",
+     "floor ch_2 before doubling it", KTHEORY),
+    ("divisors.py", "(t2, t0, -t1) for", "(t2, t0, t1) for",
+     "flip the sign of the orthogonality system's constant column", DIVISORS),
+    ("divisors.py", "det = m00 * m11 - m01 * m10", "det = m00 * m11 + m01 * m10",
+     "add the cross term of the orthogonality system's determinant", DIVISORS),
+    ("divisors.py", "    if rest:\n", "    if False:\n",
+     "floor a non-integer orthogonal rank instead of refusing it", DIVISORS),
+    ("exactmath.py", "if str(value) != text:", "if False:",
+     "let parse_int take every spelling int() reads, such as 06, -0 and 1_0", CLI),
+    ("cli.py", "bound = 10 ** limit", "bound = 10 ** (limit - 1)",
+     "refuse up front a value of exactly `limit` digits, which str() prints", CLI),
+    ("cli.py", "bound = 10 ** limit", "bound = 10 ** (limit + 1)",
+     "evaluate before refusing a value of `limit` + 1 digits", CLI),
 ]
 
 

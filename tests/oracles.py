@@ -18,9 +18,13 @@ the six coefficients at once, and intersection degrees through the full
 product ch(family) * Td * ch(w) instead of its one p h^2 coefficient.
 The Euler characteristics of the moduli spaces M_d come a second way,
 as the Gopakumar-Vafa invariants of local P^2 from its mirror's periods.
-Td * ch, the two Euler pairings, the orthogonal wall class, its divisor,
-the truncated exponential and the four test families are also kept in
-Fractions, step by step, against the library's integer numerators.
+The two Euler pairings and the Hilbert polynomial come by Riemann-Roch
+on the line bundles O, O(1), O(2) that span K(P^2), instead of from
+Td * ch, and wall divisors come from the central charge at a point of
+the wall by the positivity lemma, instead of from the destabilizer's
+orthogonal class.  The truncated exponential and the four test families
+are also kept in Fractions, step by step, against the library's integer
+numerators.
 rand_chern draws the random Chern characters that several test modules
 share.
 """
@@ -34,7 +38,7 @@ from planemoduli import ktheory
 from planemoduli.chow import ChowCurveP2, ChowP2, coeff, todd_relative
 from planemoduli.divisors import (DivisorAL, FamilyClass, first_wall_destabilizer,
                                   genus)
-from planemoduli.errors import DomainError, EmptyWallError
+from planemoduli.errors import EmptyWallError
 from planemoduli.exactmath import QPoly, grassmannian_poincare
 from planemoduli.ktheory import ChernP2
 from planemoduli.walls import Wall, wall_between
@@ -293,47 +297,81 @@ def rand_chern(rng) -> ChernP2:
     return ChernP2(r, c, Fraction(c * c, 2) + rng.randint(-6, 6))
 
 
-def td_ch_by_fractions(v: ChernP2) -> tuple[int, Fraction, Fraction]:
-    """Coefficients of 1, h, h^2 in Td * ch(v) = (r, c + 3r/2, e + 3c/2 + r)."""
-    return v.r, v.c + Fraction(3 * v.r, 2), v.e + Fraction(3 * v.c, 2) + v.r
+def line_bundle_coordinates(v: ChernP2) -> tuple[int, int, int]:
+    """The integers (n0, n1, n2) with v = n0 O + n1 O(1) + n2 O(2) in K(P^2).
+
+    ch O(k) = (1, k, k^2/2), so n2 = e - c/2, n1 = c - 2 n2 and
+    n0 = r - n1 - n2; e - c/2 is an integer for every integral class.
+    """
+    n2 = v.e - Fraction(v.c, 2)
+    assert n2.denominator == 1
+    n1 = v.c - 2 * n2.numerator
+    return v.r - n1 - n2.numerator, n1, n2.numerator
 
 
-def euler_product_by_fractions(v: ChernP2, w: ChernP2) -> Fraction:
-    """The integral of ch(v) ch(w) Td, in Fractions."""
-    r, c, e = td_ch_by_fractions(w)
-    return v.r * e + v.c * c + v.e * r
+def _chi_by_line_bundles(v: ChernP2, w: ChernP2, sign: int) -> int:
+    """sum n_j n'_k chi(O(sign j), O(k)) over the line-bundle coordinates
+    of v and w, by Riemann-Roch: chi(O(i), O(k)) = C(k - i + 2, 2)."""
+    return sum(a * b * math.comb(k - sign * j + 2, 2)
+               for j, a in enumerate(line_bundle_coordinates(v))
+               for k, b in enumerate(line_bundle_coordinates(w)))
 
 
-def euler_hom_by_fractions(v: ChernP2, w: ChernP2) -> Fraction:
-    """chi(v, w) = the integral of ch(dual v) ch(w) Td, in Fractions."""
-    r, c, e = td_ch_by_fractions(w)
-    return v.r * e - v.c * c + v.e * r
+def euler_hom_by_line_bundles(v: ChernP2, w: ChernP2) -> int:
+    """chi(v, w), bilinear in the line bundles O(j) of v and O(k) of w."""
+    return _chi_by_line_bundles(v, w, 1)
 
 
-def orthogonal_wall_class_by_fractions(v: ChernP2, vprime: ChernP2) -> ChernP2:
-    """w = (r, 1, e) orthogonal to v and vprime, by Cramer's rule in Fractions."""
-    (m00, m01, b0), (m10, m11, b1) = [
-        (t2, t0, -t1) for t0, t1, t2 in map(td_ch_by_fractions, (v, vprime))]
-    det = m00 * m11 - m01 * m10
-    if det == 0:
-        raise DomainError("orthogonality system is rank deficient "
-                          "(proportional input classes)")
-    r_w = (b0 * m11 - b1 * m01) / det
-    e_w = (m00 * b1 - m10 * b0) / det
-    if r_w.denominator != 1:
-        raise DomainError(f"orthogonal class has non-integer rank {r_w}")
-    return ChernP2(int(r_w), 1, e_w)
+def euler_product_by_line_bundles(v: ChernP2, w: ChernP2) -> int:
+    """The integral of ch(v) ch(w) Td: chi(v dual, w), so O(j) enters as O(-j)."""
+    return _chi_by_line_bundles(v, w, -1)
 
 
-def wall_divisor_by_fractions(d: int, vprime: ChernP2) -> DivisorAL:
-    """The wall divisor as alpha*A-part + beta*L-part of w = alpha*point + beta*theta."""
-    v = ktheory.moduli(d)
-    w = orthogonal_wall_class_by_fractions(v, vprime)
-    assert euler_product_by_fractions(w, v) == 0
-    beta = Fraction(w.c)
-    alpha = w.e + beta / 2
-    assert w.r == -d * beta
-    return DivisorAL(alpha + beta * (1 - d), beta)
+def hilbert_value_by_line_bundles(v: ChernP2, m: int) -> int:
+    """chi(v(m)) = sum n_k chi(O(k + m)) = sum n_k C(k + m + 2, 2), for m >= 0."""
+    return sum(n * math.comb(k + m + 2, 2) for k, n in enumerate(line_bundle_coordinates(v)))
+
+
+def bayer_macri_divisor(d: int, center: Fraction, radius_sq: Fraction,
+                        offset: Fraction = Fraction(0)) -> DivisorAL:
+    """The divisor l_sigma of the positivity lemma (Bayer and Macri, 2014)
+    for a wall of the degree-d moduli class v, in the {A, L} basis scaled to
+    L coefficient 1; sigma is the wall's point s = center + offset,
+    t^2 = radius_sq - offset^2.
+
+    Z(E) = -ch_2^s + (t^2/2) r + i t ch_1^s with ch^s = ch e^(-s h), and
+    l_sigma . C = Im(-Z(Phi(O_C)) / Z(v)) for a curve C of sheaves.
+    ch Phi(O_C) is the family's p part plus a multiple of v, which adds
+    only a real number to the ratio.  The degrees on the pencil P and the
+    Jacobian T, each without their common positive factor, give the
+    divisor through A.P = 1, L.P = 0, A.T = 0 and L.T = d g.  Only the
+    wall is read: no destabilizer, Todd class or Euler pairing.
+    """
+    s, tt = center + offset, radius_sq - offset * offset
+    if tt <= 0:
+        raise ValueError(f"offset {offset} leaves the wall")
+    a, b, n, m = s.numerator, s.denominator, tt.numerator, tt.denominator
+
+    def charge(r, c, e2):
+        """Z(r, c, e) = (t^2 - s^2) r / 2 + s c - e + i t (c - s r), for
+        e2 = 2e: its real part times 2 b^2 m and its imaginary part over t
+        times b, both integers."""
+        return (r * (n * b * b - a * a * m) + 2 * a * b * m * c - b * b * m * e2,
+                b * c - a * r)
+
+    x_v, y_v = charge(0, d, 2 - 3 * d)  # v = moduli(d)
+    pencil, jacobian = [x * y_v - y * x_v  # 2 b^3 m / t times Im(-Z(b) conj Z(v))
+                        for x, y in (charge(*part) for part in _test_curve_p_parts(d))]
+    if jacobian <= 0:
+        raise ValueError(f"the Jacobian family has degree {jacobian} <= 0 at s = {s}")
+    return DivisorAL(Fraction(pencil * d * genus(d), jacobian), 1)
+
+
+@cache
+def _test_curve_p_parts(d: int) -> tuple[tuple[int, int, int], ...]:
+    """The p parts (r, c, 2e) of the pencil's and the Jacobian's Chern characters."""
+    parts = (p_part(family_class_by_fractions(kind, d).chern) for kind in ("pencil", "jacobian"))
+    return tuple((int(b.c0), int(b.c1), int(2 * b.c2)) for b in parts)
 
 
 def exp_class_by_fractions(alpha: int | Fraction, beta: int | Fraction) -> ChowCurveP2:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from planemoduli import betti, divisors, ktheory, walls
+from planemoduli import betti, cli, divisors, ktheory, walls
 from planemoduli.betti import assemble_m6
 from planemoduli.cli import _space_poly, _value_too_long, run
 from planemoduli.exactmath import QPoly, grassmannian_poincare
@@ -708,6 +708,15 @@ class TestHugeValues:
             sys.set_int_max_str_digits(limit)
         assert got == (0, expected, "")
         assert len(expected) > 5000
+
+    def test_other_value_errors_propagate(self, capsys, monkeypatch):
+        # only the digit limit's ValueError becomes exit 2; any other is a bug
+        def broken(args):
+            raise ValueError("not the digit limit")
+        monkeypatch.setitem(cli._COMMANDS, "nef", broken)
+        with pytest.raises(ValueError, match="not the digit limit"):
+            run(["nef", "--degree", "6"])
+        assert capsys.readouterr() == ("", "")
 
     def test_interpreter_without_the_limit(self, capsys, monkeypatch):
         # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits and no limit

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from planemoduli import divisors, ktheory
+from planemoduli.betti import m6_wall_records
 from planemoduli.chow import ChowCurveP2
 from planemoduli.divisors import (A_DIVISOR, L_DIVISOR, DivisorAL, FamilyClass,
                                   d_class, d_in_AL,
@@ -15,10 +16,10 @@ from planemoduli.divisors import (A_DIVISOR, L_DIVISOR, DivisorAL, FamilyClass,
 from planemoduli.errors import ConventionError, DomainError
 from planemoduli.ktheory import (ChernP2, euler_product, ideal_twisted,
                                  line_bundle, moduli, point)
-from oracles import (family_class_by_fractions,
-                     intersection_degree_by_full_product,
-                     orthogonal_wall_class_by_fractions, p_part,
-                     wall_divisor_by_fractions)
+from planemoduli.walls import enumerate_potential_walls, wall_between
+from oracles import (M6_TABLE, bayer_macri_divisor, euler_product_by_line_bundles,
+                     family_class_by_fractions, intersection_degree_by_full_product,
+                     p_part)
 
 
 def nef_a_coefficient(d: int) -> Fraction:
@@ -350,38 +351,57 @@ def outcome(compute, *args) -> str:
 
 
 class TestAgainstFractionForms:
-    """The integer-numerator forms against the Fraction oracles, value and type."""
+    """The integer-numerator forms against routes of their own, value and type:
+    the wall classes by Riemann-Roch on line bundles, the wall divisors by
+    the positivity lemma, and the families and degrees by their closed
+    forms and the full product, each in Fractions."""
 
     def test_orthogonal_wall_class_and_errors(self):
-        # proportional pairs; two pairs whose first class has nonzero rank,
-        # with the non-integer ranks -1/2 and -2/3; and random classes against
-        # moduli(d): its doubled row (2, 0, -2d) makes every such rank -d, so
-        # only the rank-deficient error fires there
+        # four fixed pairs with pinned errors: two proportional pairs, and two
+        # whose first class has nonzero rank, with the non-integer ranks -1/2
+        # and -2/3; then random classes v' against moduli(d).  There the
+        # doubled rows (2, 0, -2d) and that of v' have the determinant 4 r',
+        # so the rank-deficient error fires exactly at r' = 0.  Otherwise w
+        # has rank -d, and (-d, 1, 1/2 + k) pairs with v' to P + k r', so
+        # the class is integral exactly when r' divides P; if it does not,
+        # the class constructor refuses it
+        deficient = ("DomainError: orthogonality system is rank deficient "
+                     "(proportional input classes)")
+        non_integer = "DomainError: orthogonal class has non-integer rank "
+        cases = [(moduli(6), 2 * moduli(6), deficient),
+                 (line_bundle(1), -line_bundle(1), deficient),
+                 (ChernP2(-2, -2, 1), ChernP2(-2, -1, Fraction(3, 2)), non_integer + "-1/2"),
+                 (ChernP2(-2, -2, 1), ChernP2(-2, 0, 1), non_integer + "-2/3")]
         rng = random.Random(1904)
-        cases = [(moduli(6), 2 * moduli(6)), (line_bundle(1), -line_bundle(1)),
-                 (ChernP2(-2, -2, 1), ChernP2(-2, -1, Fraction(3, 2))),
-                 (ChernP2(-2, -2, 1), ChernP2(-2, 0, 1))]
         for _ in range(400):
             d = rng.choice(DEGREES)
             c = rng.randint(-d, d)
-            cases.append((moduli(d), ChernP2(rng.randint(-3, 3), c,
-                                             Fraction(c * c, 2) - rng.randint(-d, d * d))))
+            vprime = ChernP2(rng.randint(-3, 3), c, Fraction(c * c, 2) - rng.randint(-d, d * d))
+            pairing = euler_product_by_line_bundles(ChernP2(-d, 1, Fraction(1, 2)), vprime)
+            error = (deficient if vprime.r == 0 else
+                     "must be an integer" if pairing % vprime.r else None)
+            cases.append((moduli(d), vprime, error))
         errors = []
-        for v, vprime in cases:
-            expected = outcome(orthogonal_wall_class_by_fractions, v, vprime)
-            assert outcome(orthogonal_wall_class, v, vprime) == expected
-            errors += [expected] if expected.startswith("DomainError") else []
+        for v, vprime, error in cases:
+            if error is None:
+                w = orthogonal_wall_class(v, vprime)
+                assert type(w.r) is int and w.c == 1
+                assert euler_product_by_line_bundles(w, v) == 0
+                assert euler_product_by_line_bundles(w, vprime) == 0
+            else:
+                got = outcome(orthogonal_wall_class, v, vprime)
+                assert got.startswith("DomainError: ") and error in got
+                errors.append(got)
         assert 2 < len(errors) < len(cases) // 2
         assert sum("non-integer rank" in error for error in errors) == 2
 
     def test_wall_divisor_and_nef_generators(self):
         for d in DEGREES:
-            vprime = first_wall_destabilizer(d)
-            expected = repr(wall_divisor_by_fractions(d, vprime))
-            assert repr(wall_divisor(d, vprime)) == expected
-            assert repr(nef_generators(d)[1]) == expected
-            assert repr(wall_divisor(d, line_bundle(0))) == \
-                repr(wall_divisor_by_fractions(d, line_bundle(0)))
+            for vprime in (first_wall_destabilizer(d), line_bundle(0)):
+                wall = wall_between(moduli(d), vprime)
+                expected = repr(bayer_macri_divisor(d, wall.center, wall.radius_sq))
+                assert repr(wall_divisor(d, vprime)) == expected
+            assert repr(nef_generators(d)[1]) == repr(wall_divisor(d, first_wall_destabilizer(d)))
 
     def test_family_classes_and_degrees(self):
         for d in [1, 2] + DEGREES:
@@ -402,3 +422,30 @@ class TestAgainstFractionForms:
                 intersection_degree_by_full_product(family_class_by_fractions("jacobian", d), w)
                 / (d * genus(d)))
             assert repr(d_in_AL(d)) == repr(expected)
+
+
+class TestBayerMacriRoute:
+    """wall_divisor, from the destabilizer, against l_sigma from the wall alone."""
+
+    def test_every_candidate_to_degree_30(self):
+        for d in range(3, 31):
+            for vprime, wall in enumerate_potential_walls(d):
+                expected = wall_divisor(d, vprime)
+                assert bayer_macri_divisor(d, wall.center, wall.radius_sq) == expected
+                # 0 < offset^2 < radius_sq: another rational point of the wall
+                offset = wall.radius_sq / (wall.radius_sq + 1)
+                assert bayer_macri_divisor(d, wall.center, wall.radius_sq, offset) == expected
+
+    def test_degree_six_records_and_table(self):
+        v = moduli(6)
+        for rec in m6_wall_records():
+            wall = wall_between(v, rec.destabilizer)
+            assert bayer_macri_divisor(6, wall.center, wall.radius_sq) == \
+                wall_divisor(6, rec.destabilizer)
+        for chern, radius_sq, a_coeff in M6_TABLE:
+            center = wall_between(v, ChernP2(*chern)).center
+            assert bayer_macri_divisor(6, center, radius_sq) == DivisorAL(a_coeff, 1)
+
+    def test_refuses_a_point_off_the_wall(self):
+        with pytest.raises(ValueError, match="leaves the wall"):
+            bayer_macri_divisor(6, Fraction(-4, 3), Fraction(16, 9), Fraction(4, 3))

@@ -87,6 +87,10 @@ class TestQPoly:
         assert p ** 3 == QPoly([1, 3, 3, 1])
         assert p.shifted(2) == QPoly([0, 0, 1, 1])
 
+    def test_negative_power_refused(self):
+        with pytest.raises(DomainError, match="negative polynomial powers"):
+            QPoly([1, 1]) ** -1
+
     def test_evaluation_is_exact(self):
         p = QPoly([1, -2, 3])
         assert p(2) == 9
@@ -413,6 +417,10 @@ WRONG_KIND_CALLS = [
     ("DimVector", TypeError, "expected an int, got None", lambda: DimVector(None, 2.5)),
     ("DimVector-bool", DomainError, "expected an integer, got True",
      lambda: DimVector(True, 1)),
+    ("DimVector._make", TypeError, "expected an int, got None",
+     lambda: DimVector._make((None, 2.5))),
+    ("DimVector._replace", DomainError, "expected an integer, got 2.5",
+     lambda: DimVector(1, 2)._replace(e=2.5)),
 ]
 
 
@@ -421,6 +429,8 @@ def test_record_methods_keep_int_and_fraction_values():
     assert chi(2) == 1 and chi(Fraction(1, 2)) == 1
     assert Wall(0, 1).twisted(-2) == Wall(-2, 1)
     assert DimVector(e=1, f=2) == (1, 2) and DimVector(*DimVector(1, 2)) == DimVector(1, 2)
+    assert DimVector(1, 2)._replace(f=3) == DimVector._make([1, 3]) == DimVector(1, 3)
+    assert repr(DimVector(1, 2)._replace(e=5)) == "DimVector(e=5, f=2)"
 
 
 @pytest.mark.parametrize("error, text, call", [case[1:] for case in WRONG_KIND_CALLS],

@@ -8,8 +8,8 @@ from planemoduli.ktheory import (ChernP2, _td_ch2, dual, euler_hom,
                                  euler_product, hilbert_polynomial,
                                  ideal_twisted, line_bundle, line_support,
                                  moduli, parse_chern, point, shift, twist)
-from oracles import (euler_hom_by_fractions, euler_product_by_fractions, plane_part,
-                     rand_chern, td_ch_by_fractions)
+from oracles import (euler_hom_by_line_bundles, euler_product_by_line_bundles,
+                     hilbert_value_by_line_bundles, plane_part, rand_chern)
 
 
 class TestConstructors:
@@ -224,36 +224,35 @@ def wide_chern(rng, bound: int) -> ChernP2:
     return ChernP2(r, c, Fraction(c * c, 2) + rng.randint(-bound * bound, bound * bound))
 
 
-def typed(values) -> list:
-    return [(type(x), x) for x in values]
-
-
 class TestIntegerKernels:
-    """The integer-numerator forms against the Fraction oracles, value and type."""
+    """The integer-numerator forms against Riemann-Roch on line bundles, value and type."""
 
     BOUNDS = (5, 10 ** 3, 10 ** 6)
 
-    def test_pairings_match_fraction_forms(self):
+    def test_pairings_match_line_bundle_sums(self):
         rng = random.Random(1901)
         for bound in self.BOUNDS:
             for _ in range(300):
                 v, w = wide_chern(rng, bound), wide_chern(rng, bound)
-                for fast, slow in ((euler_product, euler_product_by_fractions),
-                                   (euler_hom, euler_hom_by_fractions)):
-                    assert typed([fast(v, w)]) == typed([slow(v, w)])
+                for fast, slow in ((euler_product, euler_product_by_line_bundles),
+                                   (euler_hom, euler_hom_by_line_bundles)):
+                    value = fast(v, w)
+                    assert type(value) is Fraction and value == slow(v, w)
 
-    def test_td_ch_and_hilbert_polynomial_match_fraction_forms(self):
+    def test_td_ch_and_hilbert_polynomial_match_line_bundle_sums(self):
+        # chi(v(m)) is the integral of ch(v) e^(mh) Td, so its coefficients
+        # of m^2, m and 1 are r/2 and the h and h^2 terms of Td * ch(v)
         rng = random.Random(1902)
         for bound in self.BOUNDS:
             for _ in range(300):
                 v = wide_chern(rng, bound)
-                expected = td_ch_by_fractions(v)
-                assert tuple(Fraction(x, 2) for x in _td_ch2(v)) == expected
-                assert _td_ch2(v) == tuple(2 * x for x in expected)
-                assert all(type(x) is int for x in _td_ch2(v))
                 h = hilbert_polynomial(v)
-                assert typed([h.quadratic, h.linear, h.constant]) == \
-                    typed([Fraction(v.r, 2), *expected[1:]])
+                assert [h(m) for m in range(3)] == \
+                    [hilbert_value_by_line_bundles(v, m) for m in range(3)]
+                coefficients = (h.quadratic, h.linear, h.constant)
+                assert all(type(x) is Fraction for x in coefficients)
+                assert _td_ch2(v) == tuple(k * x for k, x in zip((4, 2, 2), coefficients))
+                assert all(type(x) is int for x in _td_ch2(v))
 
     def test_kernel_refuses_a_non_integral_twice_ch2(self):
         # only an unchecked record can carry it; the kernel raises instead
