@@ -152,7 +152,7 @@ def _hn_stack_count(m: int, e: int, f: int, q: int) -> Fraction:
     ord(n) / (ord(k) ord(n - k)) = q^{k (n - k)} [n k]_q, a step s = x - y
     weighs q^{m s_a s_b - <s, y> + y_a s_a + y_b s_b} [x_a y_a]_q [x_b y_b]_q.
     The Euler form <s, y> = s_a y_a + s_b y_b - m s_a y_b makes the exponent
-    m s_a x_b >= 0; only the tests' Fraction chain sum computes <s, y>.
+    m s_a x_b >= 0; only the tests' factorization route computes <s, y>.
 
     The rows binomials[n][k] = [n k]_q come from one q-Pascal pass at this
     integer q, [n k] = [n-1 k-1] + q^k [n-1 k]; no Grassmannian polynomial

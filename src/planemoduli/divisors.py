@@ -5,8 +5,9 @@ basis {A, L}: A is the divisor of sheaves whose support meets a fixed
 point, L the divisor of relative point configurations meeting a fixed
 line.  The K-theoretic generators are the point class (mapping to A) and
 the theta-like class (-d, 1, -1/2) (mapping to D = (1-d) A + L); a class
-orthogonal to the moduli class decomposes over them, which is how every
-wall divisor below is computed.
+orthogonal to the moduli class decomposes over them.  A wall divisor is
+the decomposition of the class orthogonal to the moduli class and the
+destabilizer, over the rationals: that class need not be integral.
 
 Intersection numbers of divisors with the four test families of sheaves
 (a pencil, a Jacobian family, and one family on the first wall for each
@@ -17,12 +18,12 @@ on the parameter curve.
 
 Wall classes, divisors and degrees are evaluated on integers, from
 twice Td * ch as the integer triple of ktheory._td_ch2:
-orthogonal_wall_class solves its 2x2 system on the doubled rows, so the
-rank is an exact integer division; lambda_decompose tests orthogonality
-with the integer pairing; family_class builds each family from its
-expanded coefficients; and intersection_degree puts the family's p part
-over one common denominator.  Each builds a Fraction only for a field
-it returns.
+_orthogonal_solution solves the 2x2 system on the doubled rows for
+orthogonal_wall_class, whose rank is an exact integer division, and for
+wall_divisor; lambda_decompose tests orthogonality with the integer
+pairing; family_class builds each family from its expanded coefficients;
+and intersection_degree puts the family's p part over one common
+denominator.  Each builds a Fraction only for a field it returns.
 """
 
 from __future__ import annotations
@@ -88,13 +89,12 @@ def first_wall_destabilizer(d: int) -> ChernP2:
     return ktheory.line_bundle((d - 3) // 2)
 
 
-def orthogonal_wall_class(v: ChernP2, vprime: ChernP2) -> ChernP2:
-    """The class w with euler_product(w, v) = euler_product(w, vprime) = 0, c-part 1.
+def _orthogonal_solution(v: ChernP2, vprime: ChernP2) -> tuple[int, int, int]:
+    """The rank and ch_2 of the class (r, 1, e) orthogonal to v and vprime,
+    as the numerators and the common denominator (r_num, e_num, det).
 
-    For w = (r, 1, e) and Td * ch(u) = (t0, t1, t2) each orthogonality
-    condition is linear in (r, e): r*t2 + e*t0 = -t1.  Solving the 2x2
-    system and normalizing c = 1 makes the L-coefficient of the resulting
-    divisor equal to 1.
+    For Td * ch(u) = (t0, t1, t2) each orthogonality condition is linear in
+    (r, e): r*t2 + e*t0 = -t1, solved by Cramer's rule.
     """
     _require_class(ChernP2, v, vprime)
     # the rows doubled, so every entry is an integer; doubling both sides
@@ -105,11 +105,20 @@ def orthogonal_wall_class(v: ChernP2, vprime: ChernP2) -> ChernP2:
     if det == 0:
         raise DomainError("orthogonality system is rank deficient "
                           "(proportional input classes)")
-    r_num = b0 * m11 - b1 * m01
+    return b0 * m11 - b1 * m01, m00 * b1 - m10 * b0, det
+
+
+def orthogonal_wall_class(v: ChernP2, vprime: ChernP2) -> ChernP2:
+    """The class w with euler_product(w, v) = euler_product(w, vprime) = 0, c-part 1.
+
+    Normalizing c = 1 makes the L-coefficient of the resulting divisor
+    equal to 1.
+    """
+    r_num, e_num, det = _orthogonal_solution(v, vprime)
     r_w, rest = divmod(r_num, det)
     if rest:
         raise DomainError(f"orthogonal class has non-integer rank {Fraction(r_num, det)}")
-    return ChernP2(r_w, 1, Fraction(m00 * b1 - m10 * b0, det))
+    return ChernP2(r_w, 1, Fraction(e_num, det))
 
 
 def lambda_decompose(w: ChernP2, d: int) -> DivisorAL:
@@ -130,8 +139,14 @@ def lambda_decompose(w: ChernP2, d: int) -> DivisorAL:
 
 
 def wall_divisor(d: int, vprime: ChernP2) -> DivisorAL:
-    """Divisor attached to the wall where vprime destabilizes the moduli class."""
-    return lambda_decompose(orthogonal_wall_class(ktheory.moduli(d), vprime), d)
+    """Divisor attached to the wall where vprime destabilizes the moduli class.
+
+    The class orthogonal to both is (-d, 1, e), which need not be integral,
+    so its divisor is lambda_decompose's taken over the rationals:
+    (e + (3 - 2d)/2) A + L.
+    """
+    _, e_num, det = _orthogonal_solution(ktheory.moduli(d), vprime)
+    return DivisorAL(Fraction(2 * e_num + (3 - 2 * d) * det, 2 * det), 1)
 
 
 def nef_generators(d: int) -> tuple[DivisorAL, DivisorAL]:

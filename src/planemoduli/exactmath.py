@@ -271,7 +271,10 @@ class QPoly:
         return QPoly(tuple(-c for c in self._c))
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
-        other = _as_qpoly(other)
+        if not isinstance(other, QPoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = QPoly((other,))
         a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
@@ -283,10 +286,12 @@ class QPoly:
     __radd__ = __add__
 
     def __sub__(self, other: "QPoly | int") -> "QPoly":
-        return self + (-_as_qpoly(other))
+        if isinstance(other, int):
+            other = QPoly((other,))
+        return self + -other if isinstance(other, QPoly) else NotImplemented
 
     def __rsub__(self, other: "QPoly | int") -> "QPoly":
-        return _as_qpoly(other) + (-self)
+        return -self + other if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
@@ -377,14 +382,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({list(self._c)!r})"
-
-
-def _as_qpoly(value: "QPoly | int") -> QPoly:
-    if isinstance(value, QPoly):
-        return value
-    if isinstance(value, int):
-        return QPoly((value,))
-    raise TypeError(f"cannot interpret {value!r} as a QPoly")
 
 
 def projective_poincare(n: int) -> QPoly:

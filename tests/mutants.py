@@ -1,10 +1,11 @@
 """Mutation run over the finite-field oracle, the chain sum's step weight,
-the wall stream, the field kinds and the float, bool and operand checks of
-the exact constructors, the Gaussian binomial product, the Hilbert-scheme walls
-and flips, the M6 wall records, Td * ch, the Euler pairings and the Hilbert
-polynomial, the polynomial evaluation, the orthogonal wall class, the
-{A, L} coordinates of a divisor, the nef closed form, the Chow ring product
-and the CLI's number guards: how many slips their tests catch.
+q-Pascal rows, slope filter and digit read-out, the wall stream, the field
+kinds and the float, bool and operand checks of the exact constructors, the
+Gaussian binomial product, the Hilbert-scheme walls and flips, the M6 wall
+records, Td * ch, the Euler pairings and the Hilbert polynomial, the
+polynomial evaluation, the orthogonal wall class, the {A, L} coordinates of
+a divisor, the nef closed form, the Chow ring product and the CLI's number
+guards, exit codes and JSON separators: how many slips their tests catch.
 
 Each mutant is one exact string replacement in one file of the package.
 For each, the script copies src/, tests/ and pyproject.toml to a
@@ -184,6 +185,23 @@ MUTANTS = [
      "refuse up front a value of exactly `limit` digits, which str() prints", CLI),
     ("cli.py", "bound = 10 ** limit", "bound = 10 ** (limit + 1)",
      "evaluate before refusing a value of `limit` + 1 digits", CLI),
+    ("betti.py", "powers[k] * row[k]", "powers[k - 1] * row[k]",
+     "weigh [n-1 k] by q^(k-1) instead of q^k in the q-Pascal rows", ORACLE),
+    ("betti.py", "if a * f > b * e)", "if a * f >= b * e)",
+     "let a chain pass through 0 and the points of (e, f)'s own slope", ORACLE),
+    ("betti.py", "base = at_two + 1", "base = at_two",
+     "read the digits in base P(2), which a constant polynomial's coefficient equals",
+     ORACLE),
+    ("cli.py", "USAGE_ERROR = 1", "USAGE_ERROR = 2",
+     "exit with 2 for a usage error, as for a domain error", CLI),
+    ("cli.py", "DOMAIN_ERROR = 2", "DOMAIN_ERROR = 1",
+     "exit with 1 for a domain error, as for a usage error", CLI),
+    ("cli.py", 'result = json.dumps(result, separators=(", ", ": "))',
+     'result = json.dumps(result, separators=(",", ":"))',
+     "write --json output without the spaces after , and :", CLI),
+    ("cli.py", 'json.dumps(div.to_json(), separators=(", ", ": "))',
+     'json.dumps(div.to_json(), separators=(",", ": "))',
+     "write a walls row's divisor without the space after ,", WALLS),
 ]
 
 

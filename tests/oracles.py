@@ -10,12 +10,14 @@ with row reduction instead of normal forms and preimage bitmasks, the
 number of matrices of one rank through the Gaussian binomial instead of
 its closed product, potential walls by stepping through candidates one
 wall_between call at a time instead of the closed-form ranges of the
-concentric rank-zero walls, the Harder-Narasimhan stack count by its
-chain sum in Fractions, through the quiver's Euler form and group orders
-counted by flags, instead of integers scaled by the group orders,
-products on (curve) x plane through their plane and p parts instead of
-the six coefficients at once, and intersection degrees through the full
-product ch(family) * Td * ch(w) instead of its one p h^2 coefficient.
+concentric rank-zero walls, the Kronecker polynomials by the
+Harder-Narasimhan factorization of the series of all representations in
+the quantum torus, peeled one slope ray at a time and interpolated
+through Newton's divided differences, instead of Reineke's chain sum
+read off as base-B digits, products on (curve) x plane through their
+plane and p parts instead of the six coefficients at once, and
+intersection degrees through the full product ch(family) * Td * ch(w)
+instead of its one p h^2 coefficient.
 The Euler characteristics of the moduli spaces M_d come a second way,
 as the Gopakumar-Vafa invariants of local P^2 from its mirror's periods.
 The two Euler pairings and the Hilbert polynomial come by Riemann-Roch
@@ -203,32 +205,87 @@ def kronecker_count_by_enumeration(m: int, e: int, f: int, p: int) -> int:
     return numerator // order
 
 
-def _quiver_euler(m: int, a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Euler form of the m-Kronecker quiver: <(e, f), (e', f')> = e e' + f f' - m e f'."""
-    return a[0] * b[0] + a[1] * b[1] - m * a[0] * b[1]
+def hn_factorization_stack_count(m: int, e: int, f: int, q: int) -> Fraction:
+    """Count of the semistable stack with dimension vector (e, f), at q, by
+    the Harder-Narasimhan factorization in the quantum torus (Reineke, 2003;
+    Kontsevich and Soibelman, 2008).
 
-
-def hn_stack_count_by_fractions(m: int, e: int, f: int, q: int) -> Fraction:
-    """Count of the semistable stack with dimension vector (e, f), at q.
-
-    Reineke's chain sum with every chain value a Fraction: each step
-    y -> x multiplies by A(x - y) q^-<x - y, y>, where
-    A(a, b) = q^{m a b} / (ord(a) ord(b)) counts all representations.
+    x^d o x^d' = q^-<d, d'> x^(d + d'), with the Euler form
+    <d, d'> = d_1 d'_1 + d_2 d'_2 - m d_1 d'_2.  The series of all
+    representations, E(1, 0) o E(0, 1) with E(1, 0) = sum x^(a, 0) / |GL_a|
+    and E(0, 1) likewise, is the product of the semistable series over the
+    slope rays a / (a + b), ascending from the left.  So the rays below
+    (e, f)'s are peeled off, lowest first, each by its inverse on the left,
+    and the stack count is then the coefficient at (e, f).  Every series is
+    truncated to the box [0, e] x [0, f].
     """
-    count = {(a, b): Fraction(q ** (m * a * b),
-                              _gl_order_by_flags(a, q) * _gl_order_by_flags(b, q))
-             for a in range(e + 1) for b in range(f + 1)}
-    # slope a / (a + b) above e / (e + f) means a f > b e
-    points = sorted((x for x in count if x[0] * f > x[1] * e), key=sum)
-    chains = {(0, 0): Fraction(-1)}
-    for a, b in points + [(e, f)]:
-        total = Fraction(0)
-        for y, value in chains.items():
-            if y[0] <= a and y[1] <= b:
-                step = (a - y[0], b - y[1])
-                total += value * count[step] / Fraction(q) ** _quiver_euler(m, step, y)
-        chains[(a, b)] = -total
-    return chains[(e, f)]
+    box = [(a, b) for a in range(e + 1) for b in range(f + 1)]
+
+    def twist(d, d2):
+        return Fraction(q) ** (m * d[0] * d2[1] - d[0] * d2[0] - d[1] * d2[1])
+
+    def product(x: dict, y: dict) -> dict:
+        out = dict.fromkeys(box, Fraction(0))
+        for d, u in x.items():
+            for d2, v in y.items():
+                whole = (d[0] + d2[0], d[1] + d2[1])
+                if whole in out:
+                    out[whole] += u * v * twist(d, d2)
+        return out
+
+    def ray_inverse(ray: dict) -> dict:
+        # t o r = 1, solved point by point along the ray by growing size
+        out = {(0, 0): Fraction(1)}
+        for d in sorted(ray, key=sum)[1:]:
+            total = Fraction(0)
+            for d1, t in out.items():
+                rest = (d[0] - d1[0], d[1] - d1[1])
+                total += t * ray[rest] * twist(d1, rest)
+            out[d] = -total
+        return out
+
+    series = product({(a, 0): Fraction(1, _gl_order_by_flags(a, q)) for a in range(e + 1)},
+                     {(0, b): Fraction(1, _gl_order_by_flags(b, q)) for b in range(f + 1)})
+    for slope in sorted({Fraction(a, a + b) for a, b in box if a + b}):
+        ray = {d: c for d, c in series.items()
+               if d == (0, 0) or (sum(d) and Fraction(d[0], sum(d)) == slope)}
+        if slope == Fraction(e, e + f):
+            return ray[e, f]
+        series = product(ray_inverse(ray), series)
+    raise AssertionError("(e, f) is on no ray of its box")
+
+
+def _newton_coefficients(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
+    """Coefficients, lowest first, of the polynomial through the points
+    (xs[i], ys[i]): divided differences, then the Newton form by Horner."""
+    table = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = [table[-1]]
+    for i in range(len(xs) - 2, -1, -1):  # coeffs * (x - xs[i]) + table[i]
+        coeffs = [table[i] - xs[i] * coeffs[0]] + [
+            c - xs[i] * n for c, n in zip(coeffs, coeffs[1:] + [0])]
+    return coeffs
+
+
+def kronecker_poincare_by_factorization(m: int, e: int, f: int) -> QPoly:
+    """Poincare polynomial of N(m; e, f) for coprime (e, f), from the moduli
+    count (q - 1) hn_factorization_stack_count at q = 2 ... D + 3, with
+    D = m e f - e^2 - f^2 + 1, by exact Newton interpolation.
+
+    The one point beyond the D + 1 that the degree needs checks that
+    bound; every coefficient must be an integer.  A negative D must give
+    the zero polynomial, from its one point q = 2.
+    """
+    degree = m * e * f - e * e - f * f + 1
+    xs = list(range(2, max(degree, -1) + 4))
+    coeffs = _newton_coefficients(
+        xs, [(q - 1) * hn_factorization_stack_count(m, e, f, q) for q in xs])
+    assert all(c.denominator == 1 for c in coeffs), coeffs
+    poly = QPoly(int(c) for c in coeffs)
+    assert poly.degree is None or poly.degree <= degree, (poly, degree)
+    return poly
 
 
 def potential_walls_by_search(d: int) -> list[tuple[ChernP2, Wall]]:

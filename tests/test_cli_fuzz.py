@@ -33,9 +33,9 @@ def test_every_argv_ends_with_an_exit_code():
 #: supported interpreter: the package, not argparse, words an invalid
 #: choice and a leading "--", where argparse's releases differ
 CLI_DIGESTS = {
-    "stdout": "70fad2d0789ef7aa73c783005c96d27d94acfd60937260ff7f8cdf916f2e2197",
-    "stderr": "ada145a8229c7d35ed6538f3f050a7eb8fd7bd2c8e910d3068cb293e54cf369b",
-    "codes": "0281f6cb35444a20adbd1d3bd31f3a9218702540872b6ffe221c816c57421d90",
+    "stdout": "90b865287f3bb26073d48ac55e254600aa4a10b219d35d0a45fb3e29f7c1d397",
+    "stderr": "3227f31e3317fc3e567dfad5457d2478a14a65e43922420bcf44b1c0e9618b38",
+    "codes": "85b65506100a55f0f415c8c73557008529a328c18f04c0b9926a4d7319729be5",
 }
 
 

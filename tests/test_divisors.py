@@ -13,7 +13,7 @@ from planemoduli.divisors import (A_DIVISOR, L_DIVISOR, DivisorAL, FamilyClass,
                                   intersection_degree, lambda_decompose,
                                   nef_generators, orthogonal_wall_class,
                                   wall_divisor)
-from planemoduli.errors import ConventionError, DomainError
+from planemoduli.errors import ConventionError, DomainError, EmptyWallError
 from planemoduli.ktheory import (ChernP2, euler_product, ideal_twisted,
                                  line_bundle, moduli, point)
 from planemoduli.walls import enumerate_potential_walls, wall_between
@@ -146,7 +146,10 @@ class TestWallDivisor:
 
 def wall_class_off_by_a_point(real):
     # the point class is orthogonal to the moduli class: only A moves
-    return lambda v, w: real(v, w) + point()
+    def drifted(v, w):
+        r_num, e_num, det = real(v, w)
+        return r_num, e_num + det, det
+    return drifted
 
 
 def todd_class_without_its_h2_term(real):
@@ -174,7 +177,7 @@ class TestCones:
             assert wall_divisor(d, line_bundle(0)) == L_DIVISOR
 
     @pytest.mark.parametrize("module, name, drift", [
-        (divisors, "orthogonal_wall_class", wall_class_off_by_a_point),
+        (divisors, "_orthogonal_solution", wall_class_off_by_a_point),
         (ktheory, "_td_ch2", todd_class_without_its_h2_term),
     ], ids=["wall-class", "td-ch2"])
     def test_effective_generators_catch_drift(self, monkeypatch, module, name, drift):
@@ -445,6 +448,37 @@ class TestBayerMacriRoute:
         for chern, radius_sq, a_coeff in M6_TABLE:
             center = wall_between(v, ChernP2(*chern)).center
             assert bayer_macri_divisor(6, center, radius_sq) == DivisorAL(a_coeff, 1)
+
+    def test_rank_two_and_three_destabilizers(self):
+        # the class orthogonal to moduli(d) and v' need not be integral:
+        # wall_divisor takes its divisor over the rationals, and where it is
+        # integral the decomposition of orthogonal_wall_class gives the same
+        for vprime, a in ((ChernP2(3, 1, Fraction(1, 2)), Fraction(11, 3)),
+                          (ChernP2(2, 1, Fraction(-1, 2)), Fraction(5, 2))):
+            assert wall_divisor(6, vprime) == DivisorAL(a, 1)
+            with pytest.raises(DomainError, match="must be an integer"):
+                orthogonal_wall_class(moduli(6), vprime)
+        rng = random.Random(52)
+        walls = integral = 0
+        for _ in range(1000):
+            d = rng.randint(3, 40)
+            c = rng.randint(-d, d)
+            vprime = ChernP2(rng.choice((2, 3)), c, Fraction(c * c, 2) - rng.randint(-d, d * d))
+            try:
+                wall = wall_between(moduli(d), vprime)
+            except EmptyWallError:
+                continue
+            walls += 1
+            expected = wall_divisor(d, vprime)
+            assert bayer_macri_divisor(d, wall.center, wall.radius_sq) == expected
+            try:
+                w = orthogonal_wall_class(moduli(d), vprime)
+            except DomainError as exc:
+                assert "must be an integer" in str(exc)
+            else:
+                integral += 1
+                assert lambda_decompose(w, d) == expected
+        assert 0 < integral < walls
 
     def test_refuses_a_point_off_the_wall(self):
         with pytest.raises(ValueError, match="leaves the wall"):

@@ -87,6 +87,18 @@ class TestQPoly:
         assert p ** 3 == QPoly([1, 3, 3, 1])
         assert p.shifted(2) == QPoly([0, 0, 1, 1])
 
+    def test_operands_that_are_not_polynomials(self):
+        # + and - take a QPoly or an int; any other operand gets
+        # NotImplemented, so Python raises its own TypeError
+        p = QPoly([1, 1])
+        for call in (lambda: p + "x", lambda: Fraction(1, 2) + p, lambda: p - None,
+                     lambda: 1.5 - p):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                call()
+        assert [p + 2, 2 + p, p - 2, 2 - p] == \
+            [QPoly([3, 1]), QPoly([3, 1]), QPoly([-1, 1]), QPoly([1, -1])]
+        assert p + 0 == p - 0 == p and 0 - p == -p
+
     def test_negative_power_refused(self):
         with pytest.raises(DomainError, match="negative polynomial powers"):
             QPoly([1, 1]) ** -1
